@@ -29,19 +29,13 @@ from .estimators import (
 )
 from .joint import MultiSample, fit_joint
 from .kernels import get_kernel
-from .simulate import ExperimentSpec, MethodSpec, TABLE_METHODS, run_experiment
+from .simulate import ExperimentSpec, TABLE_METHODS, run_experiment
 from .solver import SupportMode, fit, solve_support
 
 __all__ = ["run_cli", "main"]
 
 _METHOD_NAMES = {"naive": NAIVE, "reflection": REFLECTION, "boundary-kernel": BOUNDARY_KERNEL}
-_METHOD_LABELS = {
-    "naive": MethodSpec(NAIVE),
-    "bk:proposed": MethodSpec(BOUNDARY_KERNEL, SupportMode.proposed()),
-    "bk:extremes": MethodSpec(BOUNDARY_KERNEL, SupportMode.extremes()),
-    "refl:proposed": MethodSpec(REFLECTION, SupportMode.proposed()),
-    "refl:extremes": MethodSpec(REFLECTION, SupportMode.extremes()),
-}
+_METHOD_LABELS = {m.label: m for m in TABLE_METHODS}
 
 
 class UsageError(Exception):
@@ -245,11 +239,24 @@ def _parse_dist(spec: str):
     return p, q
 
 
+# simulate config keys (each named like its flag's attribute) and value parsers
+_SIM_CONFIG_KEYS = {
+    "dist": str.split,
+    "n": lambda value: [int(v) for v in value.split()],
+    "reps": int,
+    "seed": int,
+    "nodes": int,
+    "kernel": str,
+    "bandwidth": str,
+    "methods": str,
+    "format": str,
+}
+
+
 def _load_sim_config(path: str, args) -> None:
     """Apply `key = value` lines to unset simulate options (flags win).
 
-    Keys: dist, n (space-separated lists), reps, seed, kernel, bandwidth,
-    methods, nodes, format.
+    Keys are those of _SIM_CONFIG_KEYS; dist and n take space-separated lists.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -264,31 +271,13 @@ def _load_sim_config(path: str, args) -> None:
             raise DataError(f"{path}:{i}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        try:
-            if key == "dist":
-                if args.dist is None:
-                    args.dist = value.split()
-            elif key == "n":
-                if args.n is None:
-                    args.n = [int(v) for v in value.split()]
-            elif key == "reps":
-                args.reps = int(value) if args.reps is None else args.reps
-            elif key == "seed":
-                args.seed = int(value) if args.seed is None else args.seed
-            elif key == "nodes":
-                args.nodes = int(value) if args.nodes is None else args.nodes
-            elif key == "kernel":
-                args.kernel = value if args.kernel is None else args.kernel
-            elif key == "bandwidth":
-                args.bandwidth = value if args.bandwidth is None else args.bandwidth
-            elif key == "methods":
-                args.methods = value if args.methods is None else args.methods
-            elif key == "format":
-                args.format = value if args.format is None else args.format
-            else:
-                raise DataError(f"{path}:{i}: unknown key {key!r}")
-        except ValueError:
-            raise DataError(f"{path}:{i}: bad value for {key}: {value!r}") from None
+        if key not in _SIM_CONFIG_KEYS:
+            raise DataError(f"{path}:{i}: unknown key {key!r}")
+        if getattr(args, key) is None:
+            try:
+                setattr(args, key, _SIM_CONFIG_KEYS[key](value))
+            except ValueError:
+                raise DataError(f"{path}:{i}: bad value for {key}: {value!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -418,11 +407,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--kernel", default="epanechnikov", choices=["epanechnikov", "gaussian"])
         p.add_argument("--bandwidth", default="lscv", help="'lscv' or a positive number")
         p.add_argument("--tol", type=float, default=1e-10, help="solver residual tolerance")
-        p.add_argument("--max-iter", type=int, default=200, help="bisection iteration cap")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p_fit = sub.add_parser("fit", help="fit an estimator and persist the model as JSON")
     common(p_fit)
+    p_fit.add_argument("--max-iter", type=int, default=200, help="bisection iteration cap")
     p_fit.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
     p_fit.add_argument("--mode", default=None,
                        choices=["known", "proposed", "extremes", "half-known-lower", "half-known-upper"])
@@ -439,6 +428,7 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="estimate support endpoints; prints a JSON report")
     common(p_solve)
+    p_solve.add_argument("--max-iter", type=int, default=200, help="bisection iteration cap")
     p_solve.add_argument("--method", required=True, choices=["reflection", "boundary-kernel"])
     p_solve.add_argument("--mode", required=True,
                          choices=["proposed", "extremes", "half-known-lower", "half-known-upper"])

@@ -1,4 +1,5 @@
-"""Symmetric kernel functions K, their integrals W, and support radii.
+"""Symmetric kernel functions K, their integrals W, their convolutions K*K,
+and support radii.
 
 Two kernels are provided: Epanechnikov (compact support, the default for all
 boundary-corrected estimators) and Gaussian.  A ``KernelSpec`` is immutable
@@ -7,12 +8,13 @@ after construction and safe to share across threads.
 Conventions:
     K(z) >= 0, K(z) = K(-z), integral of K over its support is 1.
     W(z)  = integral of K from -inf to z, so W(0) = 1/2 and W(z)+W(-z) = 1.
+    (K*K)(t) = integral of K(v) K(v - t) dv, in closed form for every kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_2_SQRT_PI = 2.0 * np.sqrt(np.pi)
 
 
 def _epan_K(z: np.ndarray) -> np.ndarray:
@@ -63,20 +66,26 @@ def _gauss_W(z: np.ndarray) -> np.ndarray:
     return ndtr(np.asarray(z, dtype=float))
 
 
+def _gauss_KK(t: np.ndarray) -> np.ndarray:
+    # Convolution (K*K)(t) = exp(-t^2/4) / (2 sqrt(pi)), the N(0, 2) density.
+    t = np.asarray(t, dtype=float)
+    return np.exp(-0.25 * t * t) / _2_SQRT_PI
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """A symmetric kernel: name, density K, integral W, and support radius.
+    """A symmetric kernel: name, density K, integral W, support radius, K*K.
 
     ``support_radius`` is the half-width of supp(K); ``np.inf`` for the
-    Gaussian.  ``convolution`` is (K*K) in closed form when available (used by
-    least-squares cross-validation); ``None`` means fall back to quadrature.
+    Gaussian.  ``convolution`` is always set: the closed-form K*K that
+    least-squares cross-validation sums.
     """
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    convolution: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    convolution: Callable[[np.ndarray], np.ndarray]
 
     @property
     def compact(self) -> bool:
@@ -96,6 +105,7 @@ GAUSSIAN = KernelSpec(
     pdf=_gauss_K,
     cdf=_gauss_W,
     support_radius=np.inf,
+    convolution=_gauss_KK,
 )
 
 _BY_NAME = {

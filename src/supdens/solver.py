@@ -1,27 +1,37 @@
 """Support-endpoint estimation by solving the order-statistic matching equations.
 
-Writing Fhat_u for the boundary-corrected CDF estimator built on a candidate
-support, the endpoints (l, u) are chosen so that
+Writing Fhat_(l,u) for the boundary-corrected CDF estimator built on a
+candidate support, the endpoints (l, u) are chosen so that
 
     Fhat_(l,u)(X_(1)) = 1/(n+1)      and      Fhat_(l,u)(X_(n)) = n/(n+1),
 
 the expected CDF values of the sample minimum and maximum.  Plugging the
 extremes themselves in instead corresponds to targets (0, 1).
 
-For the boundary-kernel method the two equations decouple exactly: the right
-objective  g(u) = 1 - (1/n) sum W((X_i - X_(n)) / (u - X_(n)))  is strictly
-decreasing from 1 - 1/(2n) (as u tends to X_(n), with the tied-maximum terms
-contributing W(0) = 1/2 each) down to 1/2 (as u grows), so for n >= 2 and an
-untied maximum a unique root exists and bisection with a sign-checked,
-range-doubling bracket finds it.  The left equation mirrors this with target
-1/(n+1).
+Each correction method has one one-sided solve, parametrised by the side
+s = +1 (right: e = X_(n), target n/(n+1)) or s = -1 (left: e = X_(1), target
+1/(n+1)).  It finds the side-s endpoint v from the signed objective
+s * (Fhat(e) - target), evaluated on the original sample; that objective is
+positive at e and nonincreasing as v moves outward on either side, so one
+bracket search, bisection and fallback serve both endpoints.  The unknown is
+mirrored, not the sample: solving the left side as the right side of -X is
+exact only for a compact kernel, because with the Gaussian kernel the
+reflection estimator's total mass falls short of 1 and the mirrored right
+equation is a different left equation.
 
-For the reflection method the right objective is the reflection CDF at X_(n)
-with the lower endpoint held fixed; it is nonincreasing in u and constant
-beyond X_(n) + h for a compact kernel, so the bracket is [X_(n), X_(n) + h].
-When the target is not straddled the solver falls back to the extreme itself
-and sets a flag.  The residual two-sided coupling is resolved by alternating
-one-dimensional solves until both endpoints stop moving.
+For the boundary-kernel method the mass beyond e is
+m(v) = (1/n) sum W((X_i - e) / (v - e)), and Fhat(e) is 1 - m on the right
+and m on the left, so the two equations decouple exactly.  m increases from
+(#ties at e)/(2n) as v tends to e (each tied extreme contributes W(0) = 1/2)
+to 1/2 as v moves away, so for n >= 2 and an untied extreme a unique root
+exists and bisection with a sign-checked, range-doubling bracket finds it.
+
+For the reflection method Fhat(e) is the reflection CDF with the other
+endpoint held fixed; it is constant beyond e + s*h for a compact kernel, so
+the bracket is [e, e + s*h].  When the target is not straddled the solver
+falls back to the extreme itself and sets a flag.  The residual two-sided
+coupling is resolved by alternating one-dimensional solves until both
+endpoints stop moving.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .estimators import (
     FittedEstimator,
     Sample,
     SupportInterval,
+    _reflection_cdf_terms,
     fit_boundary_kernel,
     fit_naive,
     fit_reflection,
@@ -131,147 +142,119 @@ class SolveReport:
 
 
 def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float,
-    max_iter: int = MAX_BISECT,
-) -> Tuple[float, float, int]:
-    """Bisection for f = 0 given a sign change on [lo, hi]; returns (root, residual, iters)."""
-    best_x, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
+    g: Callable[[float], float], s: int, near: float, far: float, g_near: float, g_far: float,
+    tol: float, max_iter: int,
+):
+    """Bisection for g = 0 between near (g > 0) and far (g <= 0).
+
+    g is the signed objective s * (Fhat(e) - target); returns (root, residual
+    Fhat(e) - target, iterations, bracket as (lower, upper), fallback flag).
+    """
+    bracket = (min(near, far), max(near, far))
+    best_x, best_g = (near, g_near) if abs(g_near) < abs(g_far) else (far, g_far)
     for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) < abs(best_f):
-            best_x, best_f = mid, fm
-        if abs(fm) < tol:
-            return mid, fm, it
-        if (flo <= 0.0) == (fm <= 0.0):
-            lo, flo = mid, fm
+        mid = 0.5 * (near + far)
+        gm = g(mid)
+        if abs(gm) < abs(best_g):
+            best_x, best_g = mid, gm
+        if abs(gm) < tol:
+            return mid, s * gm, it, bracket, False
+        if gm > 0.0:
+            near = mid
         else:
-            hi, fhi = mid, fm
+            far = mid
     raise NumericError(
         f"bisection did not reach tolerance {tol} in {max_iter} iterations "
-        f"(best residual {best_f:.3e} at {best_x!r}, bracket [{lo!r}, {hi!r}])"
+        f"(best residual {s * best_g:.3e} at {best_x!r}, bracket [{min(near, far)!r}, {max(near, far)!r}])"
     )
 
 
-# -- boundary-kernel objectives ------------------------------------------------
-
-
-def _bk_right_objective(data: np.ndarray, kernel: KernelSpec, u: float) -> float:
-    xn = data[-1]
-    return 1.0 - float(np.mean(kernel.cdf((data - xn) / (u - xn))))
-
-
-def _bk_left_objective(data: np.ndarray, kernel: KernelSpec, l: float) -> float:
-    x1 = data[0]
-    return float(np.mean(kernel.cdf((x1 - data) / (x1 - l))))
-
-
-def _bk_limit_right(data: np.ndarray) -> float:
-    # limit of the right objective as u decreases to X_(n): 1 - (#ties)/(2n)
-    ties = int(np.count_nonzero(data == data[-1]))
-    return 1.0 - ties / (2.0 * data.size)
-
-
-def _bk_limit_left(data: np.ndarray) -> float:
-    ties = int(np.count_nonzero(data == data[0]))
-    return ties / (2.0 * data.size)
-
-
-def _solve_bk_right(data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int):
+def _extreme_and_target(data: np.ndarray, s: int) -> Tuple[float, float]:
+    """The side-s sample extreme e and its order-statistic target for Fhat(e)."""
     n = data.size
-    xn = float(data[-1])
-    target = n / (n + 1.0)
-    lo = xn + abs(xn) * 1e-12 + 1e-300
-    if _bk_limit_right(data) <= target:
-        # tied maxima push the upper limit below the target: no root beyond X_(n)
-        return xn, _bk_limit_right(data) - 1.0, 0, (xn, xn), True
-    f = lambda u: _bk_right_objective(data, kernel, u) - target
-    span = h
-    hi = xn + span
-    flo = f(lo)
-    if flo <= 0.0:
+    return (float(data[-1]), n / (n + 1.0)) if s > 0 else (float(data[0]), 1.0 / (n + 1.0))
+
+
+# -- boundary kernel -------------------------------------------------------------
+
+
+def _bk_extreme_cdf(data: np.ndarray, kernel: KernelSpec, s: int, v: float) -> float:
+    """Boundary-kernel Fhat(e) at the side-s extreme e with that endpoint at v.
+
+    The mass beyond e is m = mean W((X_i - e) / (v - e)) on either side, so
+    Fhat(e) is 1 - m on the right and m on the left.
+    """
+    e = data[-1] if s > 0 else data[0]
+    m = float(np.mean(kernel.cdf((data - e) / (v - e))))
+    return 1.0 - m if s > 0 else m
+
+
+def _bk_limit(data: np.ndarray, s: int) -> float:
+    # limit of Fhat(e) as v tends to e: each tied extreme contributes W(0) = 1/2
+    e = data[-1] if s > 0 else data[0]
+    m = int(np.count_nonzero(data == e)) / (2.0 * data.size)
+    return 1.0 - m if s > 0 else m
+
+
+def _solve_bk_side(data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int, s: int):
+    e, target = _extreme_and_target(data, s)
+    side = "right" if s > 0 else "left"
+    limit = _bk_limit(data, s)
+    if s * (limit - target) <= 0.0:
+        # tied extremes hold Fhat(e) on the wrong side of the target: no root beyond e
+        return e, limit - float(s > 0), 0, (e, e), True
+    g = lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target)
+    near = e + s * (abs(e) * 1e-12 + 1e-300)
+    g_near = g(near)
+    if g_near <= 0.0:
         raise NumericError(
-            f"right objective already below target {target} at the bracket start {lo!r}; "
-            "data scale defeats the near-maximum offset"
+            f"{side} objective already past target {target} at the bracket start {near!r}; "
+            "data scale defeats the near-extreme offset"
         )
-    fhi = f(hi)
-    while fhi > 0.0:
-        span *= 2.0
-        hi = xn + span
-        fhi = f(hi)
-        if not np.isfinite(hi):
-            raise NumericError("right bracket expansion overflowed")
-    root, res, it = _bisect(f, lo, hi, flo, fhi, tol, max_iter)
-    return root, res, it, (lo, hi), False
-
-
-def _solve_bk_left(data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int):
-    n = data.size
-    x1 = float(data[0])
-    target = 1.0 / (n + 1.0)
-    hi = x1 - (abs(x1) * 1e-12 + 1e-300)
-    if _bk_limit_left(data) >= target:
-        return x1, _bk_limit_left(data) - 0.0, 0, (x1, x1), True
-    f = lambda l: _bk_left_objective(data, kernel, l) - target
     span = h
-    lo = x1 - span
-    fhi = f(hi)
-    if fhi >= 0.0:
-        raise NumericError(
-            f"left objective already above target {target} at the bracket start {hi!r}; "
-            "data scale defeats the near-minimum offset"
-        )
-    flo = f(lo)
-    while flo < 0.0:
+    far = e + s * span
+    g_far = g(far)
+    while g_far > 0.0:
         span *= 2.0
-        lo = x1 - span
-        flo = f(lo)
-        if not np.isfinite(lo):
-            raise NumericError("left bracket expansion overflowed")
-    root, res, it = _bisect(f, lo, hi, flo, fhi, tol, max_iter)
-    return root, res, it, (lo, hi), False
+        far = e + s * span
+        g_far = g(far)
+        if not np.isfinite(far):
+            raise NumericError(f"{side} bracket expansion overflowed")
+    return _bisect(g, s, near, far, g_near, g_far, tol, max_iter)
 
 
-# -- reflection objectives -----------------------------------------------------
+# -- reflection ------------------------------------------------------------------
 
 
-def _reflection_cdf_value(
-    x: float, data: np.ndarray, kernel: KernelSpec, h: float, l: float, u: float
+def _reflection_extreme_cdf(
+    data: np.ndarray, kernel: KernelSpec, h: float, s: int, l: float, u: float
 ) -> float:
-    W = kernel.cdf
-    t = (W((x - data) / h) - W(((2.0 * l - x) - data) / h)) + (
-        W(((2.0 * u - l) - data) / h) - W(((2.0 * u - x) - data) / h)
-    )
-    return float(np.mean(t))
+    """Reflection Fhat(e) on support [l, u] at the side-s extreme e."""
+    e = data[-1] if s > 0 else data[0]
+    return float(_reflection_cdf_terms(np.array([[e]]), data, h, kernel, l, u).mean())
 
 
 def _solve_reflection_side(
-    data: np.ndarray, kernel: KernelSpec, h: float, tol: float, side: str, l: float, u: float,
-    max_iter: int = MAX_BISECT,
+    data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int, s: int, l: float, u: float,
 ):
-    """One-dimensional reflection solve for one endpoint, the other held fixed."""
-    n = data.size
-    if side == "right":
-        xn = float(data[-1])
-        target = n / (n + 1.0)
-        f = lambda uu: _reflection_cdf_value(xn, data, kernel, h, l, uu) - target
-        lo, hi = xn, xn + h
-        f_at, f_far = f(lo), f(hi)
-        # objective decreases in u from f_at to f_far
-        if not (f_far < 0.0 < f_at):
-            return xn, f_at if abs(f_at) < abs(f_far) else f_far, 0, (lo, hi), True
-        root, res, it = _bisect(f, lo, hi, f_at, f_far, tol, max_iter)
-        return root, res, it, (lo, hi), False
-    x1 = float(data[0])
-    target = 1.0 / (n + 1.0)
-    f = lambda ll: _reflection_cdf_value(x1, data, kernel, h, ll, u) - target
-    lo, hi = x1 - h, x1
-    f_far, f_at = f(lo), f(hi)
-    # objective increases as l moves away from X_(1): f_at <= target <= f_far
-    if not (f_at < 0.0 < f_far):
-        return x1, f_at if abs(f_at) < abs(f_far) else f_far, 0, (lo, hi), True
-    root, res, it = _bisect(f, lo, hi, f_far, f_at, tol, max_iter)
-    return root, res, it, (lo, hi), False
+    """One-dimensional reflection solve for the side-s endpoint, the other held fixed.
+
+    The signed objective is nonincreasing outward and constant beyond e + s*h
+    for a compact kernel, so the bracket is [e, e + s*h]; when it does not
+    straddle the target the endpoint falls back to e.
+    """
+    e, target = _extreme_and_target(data, s)
+
+    def g(v: float) -> float:
+        lv, uv = (l, v) if s > 0 else (v, u)
+        return s * (_reflection_extreme_cdf(data, kernel, h, s, lv, uv) - target)
+
+    near, far = e, e + s * h
+    g_near, g_far = g(near), g(far)
+    if not (g_far < 0.0 < g_near):
+        res = g_near if abs(g_near) < abs(g_far) else g_far
+        return e, s * res, 0, (min(near, far), max(near, far)), True
+    return _bisect(g, s, near, far, g_near, g_far, tol, max_iter)
 
 
 # -- public entry points ---------------------------------------------------------
@@ -315,55 +298,39 @@ def solve_support(
     if mode.kind == "extremes":
         return _extremes_report(data, kernel, h, method)
 
-    if method == BOUNDARY_KERNEL:
-        if mode.kind in ("proposed", "half_known_lower"):
-            u_hat, res_r, it_r, br_r, fb_r = _solve_bk_right(data, kernel, h, tol, max_iter)
-        else:
-            u_hat, res_r, it_r, br_r, fb_r = float(mode.upper), 0.0, 0, (mode.upper, mode.upper), False
-        if mode.kind in ("proposed", "half_known_upper"):
-            l_hat, res_l, it_l, br_l, fb_l = _solve_bk_left(data, kernel, h, tol, max_iter)
-        else:
-            l_hat, res_l, it_l, br_l, fb_l = float(mode.lower), 0.0, 0, (mode.lower, mode.lower), False
-        return SolveReport(l_hat, u_hat, res_l, res_r, it_l, it_r, br_l, br_r, fb_l, fb_r, 0)
-
-    # reflection: alternate one-dimensional solves until both endpoints settle
-    solve_right = mode.kind in ("proposed", "half_known_lower")
-    solve_left = mode.kind in ("proposed", "half_known_upper")
-    l_hat = float(mode.lower) if mode.lower is not None else x1
-    u_hat = float(mode.upper) if mode.upper is not None else xn
-    res_l = res_r = 0.0
-    it_l = it_r = 0
-    br_l = (l_hat, l_hat)
-    br_r = (u_hat, u_hat)
-    fb_l = fb_r = False
+    sides = {"proposed": (1, -1), "half_known_lower": (1,), "half_known_upper": (-1,)}[mode.kind]
+    # (endpoint, residual, iterations, bracket, fallback) per side; a known
+    # endpoint stays as given, an unknown one starts at the sample extreme
+    l0 = float(mode.lower) if mode.lower is not None else x1
+    u0 = float(mode.upper) if mode.upper is not None else xn
+    result = {-1: (l0, 0.0, 0, (l0, l0), False), 1: (u0, 0.0, 0, (u0, u0), False)}
     sweeps = 0
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        moved = 0.0
-        if solve_right:
-            new_u, res_r, it_r, br_r, fb_r = _solve_reflection_side(
-                data, kernel, h, tol, "right", l_hat, u_hat, max_iter
-            )
-            moved = max(moved, abs(new_u - u_hat))
-            u_hat = new_u
-        if solve_left:
-            new_l, res_l, it_l, br_l, fb_l = _solve_reflection_side(
-                data, kernel, h, tol, "left", l_hat, u_hat, max_iter
-            )
-            moved = max(moved, abs(new_l - l_hat))
-            l_hat = new_l
-        if moved < MOVE_TOL:
-            break
+    if method == BOUNDARY_KERNEL:
+        # the two boundary-kernel equations decouple exactly
+        for s in sides:
+            result[s] = _solve_bk_side(data, kernel, h, tol, max_iter, s)
+    else:
+        # reflection: alternate one-dimensional solves until both endpoints settle
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            moved = 0.0
+            for s in sides:
+                new = _solve_reflection_side(data, kernel, h, tol, max_iter, s, result[-1][0], result[1][0])
+                moved = max(moved, abs(new[0] - result[s][0]))
+                result[s] = new
+            if moved < MOVE_TOL:
+                break
+    (l_hat, res_l, it_l, br_l, fb_l), (u_hat, res_r, it_r, br_r, fb_r) = result[-1], result[1]
     return SolveReport(l_hat, u_hat, res_l, res_r, it_l, it_r, br_l, br_r, fb_l, fb_r, sweeps)
 
 
 def _extremes_report(data: np.ndarray, kernel: KernelSpec, h: float, method: str) -> SolveReport:
+    """The sample extremes as the support, with residuals against targets (0, 1)."""
     x1, xn = float(data[0]), float(data[-1])
     if method == BOUNDARY_KERNEL:
-        res_l = _bk_limit_left(data) - 0.0
-        res_r = _bk_limit_right(data) - 1.0
+        res_l, res_r = _bk_limit(data, -1), _bk_limit(data, 1) - 1.0
     else:
-        res_l = _reflection_cdf_value(x1, data, kernel, h, x1, xn) - 0.0
-        res_r = _reflection_cdf_value(xn, data, kernel, h, x1, xn) - 1.0
+        res_l = _reflection_extreme_cdf(data, kernel, h, -1, x1, xn)
+        res_r = _reflection_extreme_cdf(data, kernel, h, 1, x1, xn) - 1.0
     return SolveReport(x1, xn, res_l, res_r, 0, 0, (x1, x1), (xn, xn), False, False, 0)
 
 

@@ -30,7 +30,7 @@ from supdens import (
     solve_support,
 )
 from supdens.quadrature import composite_simpson, simpson_weights
-from supdens.solver import _bk_right_objective
+from supdens.solver import _bk_extreme_cdf
 
 SEED = 7  # preregistered seed for every stochastic check in this module
 
@@ -188,8 +188,8 @@ def test_criterion_4_solver():
 
     # objective limits
     s2 = Sample([0.2, 0.9])
-    near = _bk_right_objective(s2.values, EPANECHNIKOV, 0.9 * (1 + 1e-12) + 1e-300)
-    far = _bk_right_objective(s2.values, EPANECHNIKOV, 0.9 + 1e6)
+    near = _bk_extreme_cdf(s2.values, EPANECHNIKOV, 1, 0.9 * (1 + 1e-12) + 1e-300)
+    far = _bk_extreme_cdf(s2.values, EPANECHNIKOV, 1, 0.9 + 1e6)
     ok = (
         worst_res < 1e-10
         and flips.size == 1

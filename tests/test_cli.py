@@ -84,7 +84,7 @@ def test_simulate_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_config_file_matches_flags(tmp_path):
+def test_simulate_config_file_matches_flags(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "# comparison run\n"
@@ -105,6 +105,16 @@ def test_simulate_config_file_matches_flags(tmp_path):
     assert run_cli(["simulate", "--config", str(cfg), "--reps", "2",
                     "--output", str(out3)]) == 0
     assert out3.read_bytes() != out1.read_bytes()
+    # a config value is not parsed when its flag is set
+    cfg.write_text("dist = beta:1,1\nn = 25\nreps = four\nseed = 7\nnodes = 501\n")
+    out4 = tmp_path / "c4.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--reps", "4", "--output", str(out4)]) == 0
+    assert out4.read_bytes() == out1.read_bytes()
+    # an unknown key and a bad value are data errors naming the line
+    for text in ("reps = 4\ncolour = red\n", "reps = 4\nseed = seven\n"):
+        cfg.write_text(text)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2:" in capsys.readouterr().err
 
 
 def test_eval_json_records(data_file, tmp_path, capsys):
@@ -154,6 +164,16 @@ def test_exit_codes(tmp_path, data_file, capsys):
     # data: missing file
     assert run_cli(["fit", "--method", "naive", "--bandwidth", "0.1", "--input",
                     str(tmp_path / "missing.csv")]) == 2
+    capsys.readouterr()
+
+
+def test_max_iter_is_a_fit_and_solve_option(data_file, data2d_file, capsys):
+    # the bisection cap reaches fit and solve; joint does not take it
+    for command in ("fit", "solve"):
+        assert run_cli([command, "--method", "boundary-kernel", "--mode", "proposed",
+                        "--bandwidth", "0.2", "--max-iter", "1", "--input", data_file]) == 3
+    assert run_cli(["joint", "--input", data2d_file, "--method", "reflection", "--mode", "proposed",
+                    "--bandwidth", "0.15", "--grid", "0:1:4", "--max-iter", "1"]) == 1
     capsys.readouterr()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from supdens import (
     BOUNDARY_KERNEL,
@@ -8,12 +10,15 @@ from supdens import (
     NAIVE,
     REFLECTION,
     ConfigError,
+    NumericError,
     Sample,
+    SupportInterval,
     SupportMode,
     fit,
+    fit_boundary_kernel,
     solve_support,
 )
-from supdens.solver import _bk_left_objective, _bk_right_objective
+from supdens.solver import _bk_extreme_cdf
 
 
 def uniform_sample(rng, n, lo=0.0, hi=1.0):
@@ -58,15 +63,19 @@ class TestBoundaryKernelSolve:
     def test_right_objective_limits(self):
         s = Sample([0.2, 0.9])
         lo = 0.9 * (1 + 1e-12) + 1e-300
-        assert _bk_right_objective(s.values, EPANECHNIKOV, lo) == 0.75  # 1 - 1/(2n), n = 2
-        far = _bk_right_objective(s.values, EPANECHNIKOV, 0.9 + 1e6)
+        assert _bk_extreme_cdf(s.values, EPANECHNIKOV, 1, lo) == 0.75  # 1 - 1/(2n), n = 2
+        far = _bk_extreme_cdf(s.values, EPANECHNIKOV, 1, 0.9 + 1e6)
         assert abs(far - 0.5) < 1e-3
 
     def test_targets_at_n9(self):
         s = Sample(np.linspace(0.05, 0.95, 9))
         rep = solve_support(s, 0.1, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
-        assert _bk_right_objective(s.values, EPANECHNIKOV, rep.u_hat) == pytest.approx(0.9, abs=1e-10)
-        assert _bk_left_objective(s.values, EPANECHNIKOV, rep.l_hat) == pytest.approx(0.1, abs=1e-10)
+        assert _bk_extreme_cdf(s.values, EPANECHNIKOV, 1, rep.u_hat) == pytest.approx(0.9, abs=1e-10)
+        # The endpoint equations do not involve h.  The fitted cdf at X_(1)
+        # reads the left equation once X_(1) lies in the boundary region
+        # [l, l + h), which here (X_(1) - l-hat = 0.379) needs h = 0.4.
+        est = fit_boundary_kernel(s, 0.4, EPANECHNIKOV, SupportInterval(rep.l_hat, rep.u_hat))
+        assert est.cdf(s.min) == pytest.approx(0.1, abs=1e-10)
 
     def test_root_matches_grid_scan_oracle(self):
         # the right objective's unique sign change located by brute scan
@@ -204,6 +213,16 @@ def test_reflection_solve_with_gaussian_kernel():
     assert rep.outer_sweeps >= 1
     if not rep.fallback_right:
         assert abs(rep.residual_right) < 1e-10
+    # at h = 0.4 the Gaussian reflection cdf's total mass falls visibly short
+    # of 1, so the left equation is not the mirror of the right one; the
+    # fitted cdf must still meet both targets on the original sample
+    s = uniform_sample(np.random.default_rng(34), 150)
+    n = s.n
+    est, rep = fit(s, 0.4, GAUSSIAN, REFLECTION, SupportMode.proposed())
+    if not rep.fallback_left:
+        assert abs(est.cdf(s.min) - 1.0 / (n + 1)) < 1e-10
+    if not rep.fallback_right:
+        assert abs(est.cdf(s.max) - n / (n + 1.0)) < 1e-10
 
 
 @pytest.mark.parametrize("method", [BOUNDARY_KERNEL, REFLECTION])
@@ -217,6 +236,59 @@ def test_affine_equivariance(method):
         rep = solve_support(mapped, a * h, EPANECHNIKOV, method, SupportMode.proposed())
         assert rep.l_hat == pytest.approx(a * base.l_hat + b, abs=1e-8)
         assert rep.u_hat == pytest.approx(a * base.u_hat + b, abs=1e-8)
+
+
+def _solve_outcome(sample, h, method, mode):
+    """solve_support's report, or the class of the NumericError it raised."""
+    try:
+        return solve_support(sample, h, EPANECHNIKOV, method, mode)
+    except NumericError as exc:
+        return type(exc)
+
+
+def _mirrored(rep):
+    """The report fields expected for -X given the report for X: sides swap, signs flip."""
+    return (
+        -rep.u_hat, -rep.l_hat, rep.iterations_right, rep.iterations_left,
+        (-rep.bracket_right[1], -rep.bracket_right[0]), (-rep.bracket_left[1], -rep.bracket_left[0]),
+        rep.fallback_right, rep.fallback_left, rep.outer_sweeps,
+    )
+
+
+@pytest.mark.parametrize("method", [BOUNDARY_KERNEL, REFLECTION])
+@settings(deadline=None)
+@given(
+    values=st.lists(st.sampled_from(np.round(np.linspace(0.0, 1.0, 41), 6).tolist()) | st.floats(0.0, 1.0),
+                    min_size=3, max_size=80),
+    frac=st.floats(0.01, 1.0),
+    slack=st.floats(0.0, 0.5),
+)
+def test_mirror_symmetry(method, values, frac, slack):
+    # solve_support(-X) mirrors solve_support(X) exactly for the compact
+    # kernel: l-hat <-> -u-hat, iterations, brackets and fallbacks swap sides,
+    # and half_known_lower(a) on X pairs with half_known_upper(-a) on -X
+    s = Sample(values)
+    assume(s.max - s.min > 1e-3)
+    m = Sample(-s.values)
+    h = frac * (s.max - s.min) / 2.0
+    a, b = s.min - slack, s.max + slack
+    for mode, mirror_mode in [
+        (SupportMode.proposed(), SupportMode.proposed()),
+        (SupportMode.half_known_lower(a), SupportMode.half_known_upper(-a)),
+        (SupportMode.half_known_upper(b), SupportMode.half_known_lower(-b)),
+    ]:
+        rep = _solve_outcome(s, h, method, mode)
+        mir = _solve_outcome(m, h, method, mirror_mode)
+        if rep is NumericError or mir is NumericError:
+            # extremes within ~1e-300 of their neighbours defeat the solver on
+            # both sides alike
+            assert rep is mir
+            continue
+        got = (mir.l_hat, mir.u_hat, mir.iterations_left, mir.iterations_right,
+               mir.bracket_left, mir.bracket_right, mir.fallback_left, mir.fallback_right, mir.outer_sweeps)
+        assert got == _mirrored(rep)
+        assert mir.residual_left == pytest.approx(-rep.residual_right, abs=1e-12)
+        assert mir.residual_right == pytest.approx(-rep.residual_left, abs=1e-12)
 
 
 def test_solver_preconditions():
@@ -252,7 +324,7 @@ class TestFit:
         s = uniform_sample(rng, 80)
         est, rep = fit(s, 0.1, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
         n = s.n
-        check = _bk_right_objective(s.values, EPANECHNIKOV, est.support.upper) - n / (n + 1.0)
+        check = _bk_extreme_cdf(s.values, EPANECHNIKOV, 1, est.support.upper) - n / (n + 1.0)
         assert check == pytest.approx(rep.residual_right, abs=1e-15)
         assert abs(check) < 1e-10
 
