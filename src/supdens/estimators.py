@@ -1,29 +1,40 @@
 """One-dimensional kernel estimators of a density f and its CDF F.
 
-Three estimators are provided, all evaluable at arbitrary points:
+All three estimators are averages of one per-observation term, a kernel
+placed at X_i with a scale s(x) that may depend on the evaluation point:
+
+    cdf term  W(z),                      z = (x - X_i) / s(x),
+    pdf term  K(z) (1 - s'(x) z) / s(x), its exact x-derivative.
+
+The estimators differ only in where and with which scale the term is placed.
 
 naive
-    pdf(x) = (1/(nh)) sum K((x - X_i)/h),  cdf(x) = (1/n) sum W((x - X_i)/h).
+    s = h everywhere (s' = 0): pdf(x) = (1/(nh)) sum K((x - X_i)/h),
+    cdf(x) = (1/n) sum W((x - X_i)/h).
 
 reflection
     Kernel mass falling outside a known/estimated support [l, u] is mirrored
-    back across each endpoint.  The CDF uses the compact four-term form
-    F(x) - F(2u - x) - F(2l - x) + F(2u - l) built from the naive CDF; terms
-    are grouped per observation so that cdf(l) is exactly 0 and, for a compact
-    kernel with h <= u - l, cdf(u) is exactly 1 in floating point.
+    back across each endpoint: on [l, u] the pdf is the sum of the naive
+    terms at x and at its mirror points 2l - x and 2u - x, and the CDF is
+    F(x) - F(2l - x) + F(2u - l) - F(2u - x) built from the same naive terms.
+    The CDF terms are grouped per observation so that cdf(l) is exactly 0
+    and, for a compact kernel with h <= u - l, cdf(u) is exactly 1 in
+    floating point.  Outside [l, u] the pdf is 0 and the cdf 0 or 1.
 
 boundary_kernel
-    The CDF rescales the kernel argument by the distance to the endpoint
-    inside each boundary region: (1/n) sum W((x - X_i)/(x - l)) on [l, l+h),
-    the naive CDF on [l+h, u-h), and 1 - (1/n) sum W((X_i - x)/(u - x)) on
-    [u-h, u); 0 below l and 1 at or above u.  The pdf is the exact analytic
-    derivative of each piece.  Note the pdf has bona fide jumps at the seams
-    l+h and u-h (the CDF is continuous but only piecewise C^1 there).
+    The scale is the distance to the endpoint inside each boundary region:
+    s = x - l (s' = +1) on (l, l+h), s = h (s' = 0) on [l+h, u-h), and
+    s = u - x (s' = -1) on [u-h, u); the cdf is 0 at or below l and 1 at or
+    above u, and the pdf is 0 there.  So the pdf is the exact analytic
+    derivative of each piece, and exactly the naive pdf in the middle one.
+    It has bona fide jumps at the seams l+h and u-h (the CDF is continuous
+    but only piecewise C^1 there).
 
 Every estimator is a frozen dataclass; evaluation is pure and thread-safe.
 The per-observation term functions (`cdf_terms`, `pdf_terms`) return the
-(m, n) matrices whose row means are cdf/pdf values; the multivariate
-product-form estimator combines them across coordinates.
+(m, n) matrices whose row means are cdf/pdf values, filled in blocks of
+`BLOCK_ROWS` points; the multivariate product-form estimator combines them
+across coordinates.
 """
 
 from __future__ import annotations
@@ -104,16 +115,19 @@ class SupportInterval:
         return self.upper - self.lower
 
 
+def _check_contains(sample: Sample, lower: float, upper: float) -> None:
+    if sample.min < lower or sample.max > upper:
+        raise DataError(
+            f"sample range [{sample.min}, {sample.max}] not contained in support [{lower}, {upper}]"
+        )
+
+
 def _check_corrected(sample: Sample, h: float, support: SupportInterval) -> None:
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
     if not support.bounded:
         raise ConfigError("boundary-corrected estimators need a bounded support")
-    if sample.min < support.lower or sample.max > support.upper:
-        raise DataError(
-            f"sample range [{sample.min}, {sample.max}] not contained in "
-            f"support [{support.lower}, {support.upper}]"
-        )
+    _check_contains(sample, support.lower, support.upper)
     if h > support.length / 2.0:
         raise ConfigError(
             f"bandwidth {h} exceeds half the support length {support.length / 2.0}; "
@@ -190,96 +204,90 @@ def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
 # marginalization identities exact.
 # ---------------------------------------------------------------------------
 
-
-def cdf_terms(est: FittedEstimator, x: np.ndarray) -> np.ndarray:
-    xs = np.asarray(x, dtype=float).reshape(-1, 1)
-    data = est.sample.values
-    h = est.h
-    W = est.kernel.cdf
-    if est.method == NAIVE:
-        return W((xs - data) / h)
-    if est.method == REFLECTION:
-        return _reflection_cdf_terms(xs, data, h, est.kernel, est.support.lower, est.support.upper)
-    if est.method == BOUNDARY_KERNEL:
-        return _bk_cdf_terms(xs, data, h, est.kernel, est.support.lower, est.support.upper)
-    raise ConfigError(f"unknown method {est.method!r}")
+#: Rows of the (m, n) term matrix evaluated at once.  Each piece of a block is
+#: computed into a temporary of at most BLOCK_ROWS x n, so evaluating m points
+#: holds the output and a few block-sized temporaries, not m x n ones.
+BLOCK_ROWS = 128
 
 
-def pdf_terms(est: FittedEstimator, x: np.ndarray) -> np.ndarray:
-    xs = np.asarray(x, dtype=float).reshape(-1, 1)
-    data = est.sample.values
-    h = est.h
-    K = est.kernel.pdf
-    if est.method == NAIVE:
-        return K((xs - data) / h) / h
-    if est.method == REFLECTION:
-        l, u = est.support.lower, est.support.upper
-        inside = (xs >= l) & (xs <= u)
-        t = (K((xs - data) / h) + K((xs + data - 2.0 * u) / h) + K((xs + data - 2.0 * l) / h)) / h
-        return np.where(inside, t, 0.0)
-    if est.method == BOUNDARY_KERNEL:
-        return _bk_pdf_terms(xs, data, h, est.kernel, est.support.lower, est.support.upper)
-    raise ConfigError(f"unknown method {est.method!r}")
+def cdf_terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
+    """The (m, n) matrix of per-observation CDF terms at the points x.
+
+    data defaults to the fitted sample; the joint estimator passes a raw
+    column so that the columns keep its observation order.
+    """
+    return _terms(est, x, data, pdf=False)
 
 
-def _reflection_cdf_terms(
-    xs: np.ndarray, data: np.ndarray, h: float, kernel: KernelSpec, l: float, u: float
-) -> np.ndarray:
-    W = kernel.cdf
-    # Grouping (W(a1)-W(a3)) + (W(a4)-W(a2)) cancels bitwise at x = l (a3 == a1,
-    # a2 == a4 because fl(2l - l) == l and fl(2u - l) is shared) and saturates to
-    # exactly 1 per observation at x = u for a compact kernel with h <= u - l.
-    xl = 2.0 * l - xs
-    xu = 2.0 * u - xs
-    ref = 2.0 * u - l
-    t = (W((xs - data) / h) - W((xl - data) / h)) + (W((ref - data) / h) - W((xu - data) / h))
-    # The four-term expression applies on [l, u] inclusive; outside it clamps.
-    return np.where(xs < l, 0.0, np.where(xs > u, 1.0, t))
+def pdf_terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None = None) -> np.ndarray:
+    """The (m, n) matrix of per-observation pdf terms at the points x; see `cdf_terms`."""
+    return _terms(est, x, data, pdf=True)
 
 
-def _bk_cdf_terms(
-    xs: np.ndarray, data: np.ndarray, h: float, kernel: KernelSpec, l: float, u: float
-) -> np.ndarray:
-    W = kernel.cdf
-    flat = xs.ravel()
-    out = np.empty((flat.size, data.size))
-    left = (flat > l) & (flat < l + h)
-    mid = (flat >= l + h) & (flat < u - h)
-    right = (flat >= u - h) & (flat < u)
-    out[flat <= l, :] = 0.0
-    out[flat >= u, :] = 1.0
-    if left.any():
-        xl = flat[left].reshape(-1, 1)
-        out[left, :] = W((xl - data) / (xl - l))
-    if mid.any():
-        xm = flat[mid].reshape(-1, 1)
-        out[mid, :] = W((xm - data) / h)
-    if right.any():
-        xr = flat[right].reshape(-1, 1)
-        out[right, :] = 1.0 - W((data - xr) / (u - xr))
+def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bool) -> np.ndarray:
+    if est.method not in METHODS:
+        raise ConfigError(f"unknown method {est.method!r}")
+    xs = np.asarray(x, dtype=float).ravel()
+    data = est.sample.values if data is None else data
+    out = np.empty((xs.size, data.size))
+    for start in range(0, xs.size, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        _fill_block(est, xs[rows], data, pdf, out[rows])
     return out
 
 
-def _bk_pdf_terms(
-    xs: np.ndarray, data: np.ndarray, h: float, kernel: KernelSpec, l: float, u: float
+def _fill_block(est: FittedEstimator, x: np.ndarray, data: np.ndarray, pdf: bool, out: np.ndarray) -> None:
+    kernel, h = est.kernel, est.h
+    if est.method == NAIVE:
+        out[:] = _scaled_terms(kernel, pdf, x[:, None], data, h)
+        return
+    l, u = est.support.lower, est.support.upper
+    # outside the support the pdf terms are 0 and the cdf terms 0 below, 1 above
+    out[:] = 0.0 if pdf else (x >= u)[:, None]
+    if est.method == REFLECTION:
+        rows = (x >= l) & (x <= u)
+        if rows.any():
+            out[rows] = _reflection_terms(kernel, pdf, x[rows, None], data, h, l, u)
+        return
+    # boundary kernel: scale x - l, h and u - x on its three pieces; x == l and
+    # x == u keep the outside values, which are the limits of the adjacent
+    # pieces for observations strictly inside the support
+    for rows, scale, slope in (
+        ((x > l) & (x < l + h), x - l, 1.0),
+        ((x >= l + h) & (x < u - h), np.full_like(x, h), 0.0),
+        ((x >= u - h) & (x < u), u - x, -1.0),
+    ):
+        if rows.any():
+            out[rows] = _scaled_terms(kernel, pdf, x[rows, None], data, scale[rows, None], slope)
+
+
+def _scaled_terms(
+    kernel: KernelSpec, pdf: bool, x, data: np.ndarray, scale, slope: float = 0.0
 ) -> np.ndarray:
-    K = kernel.pdf
-    flat = xs.ravel()
-    out = np.zeros((flat.size, data.size))
-    # x == l and x == u take the right/left limits of the adjacent pieces,
-    # which are 0 for observations strictly inside the support.
-    left = (flat > l) & (flat < l + h)
-    mid = (flat >= l + h) & (flat < u - h)
-    right = (flat >= u - h) & (flat < u)
-    if left.any():
-        xl = flat[left].reshape(-1, 1)
-        d = xl - l
-        out[left, :] = K((xl - data) / d) * (data - l) / (d * d)
-    if mid.any():
-        xm = flat[mid].reshape(-1, 1)
-        out[mid, :] = K((xm - data) / h) / h
-    if right.any():
-        xr = flat[right].reshape(-1, 1)
-        d = u - xr
-        out[right, :] = K((data - xr) / d) * (u - data) / (d * d)
-    return out
+    """W(z), or its x-derivative K(z)(1 - slope*z)/scale, at z = (x - X_i)/scale.
+
+    scale is s(x) and slope is ds/dx: s = h with slope 0 is the naive term.
+    """
+    z = (x - data) / scale
+    if not pdf:
+        return kernel.cdf(z)
+    k = kernel.pdf(z)
+    if slope:
+        k = k * (1.0 - slope * z)
+    return k / scale
+
+
+def _reflection_terms(
+    kernel: KernelSpec, pdf: bool, x, data: np.ndarray, h: float, l: float, u: float
+) -> np.ndarray:
+    """Reflection terms for x in [l, u]: naive terms at x and its mirrors 2l - x, 2u - x."""
+
+    def naive(p):
+        return _scaled_terms(kernel, pdf, p, data, h)
+
+    if pdf:
+        return naive(x) + naive(2.0 * l - x) + naive(2.0 * u - x)
+    # Grouping (W(x) - W(2l - x)) + (W(2u - l) - W(2u - x)) per observation
+    # cancels bitwise at x = l (fl(2l - l) == l, and 2u - l is shared) and
+    # saturates to exactly 1 at x = u for a compact kernel with h <= u - l.
+    return (naive(x) - naive(2.0 * l - x)) + (naive(2.0 * u - l) - naive(2.0 * u - x))

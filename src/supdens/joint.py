@@ -18,7 +18,6 @@ hits 1 at the estimated upper corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,28 +81,11 @@ class JointEstimator:
     def rectangle(self) -> Tuple[Tuple[float, float], ...]:
         return tuple((m.support.lower, m.support.upper) for m in self.marginals)
 
-    @cached_property
-    def _order_indices(self) -> Tuple[np.ndarray, ...]:
-        # cdf_terms/pdf_terms see each marginal's sorted values; map columns
-        # back to the shared observation order.
-        idx = []
-        for j in range(self.d):
-            order = np.argsort(self.data.rows[:, j], kind="stable")
-            inv = np.empty_like(order)
-            inv[order] = np.arange(order.size)
-            idx.append(inv)
-        return tuple(idx)
-
-    def _terms(self, j: int, xj: np.ndarray, which: str) -> np.ndarray:
-        fn = cdf_terms if which == "cdf" else pdf_terms
-        t = fn(self.marginals[j], xj)
-        return t[:, self._order_indices[j]]
-
     def cdf(self, x) -> float | np.ndarray:
         pts = _as_points(x, self.d)
         prod = np.ones((pts.shape[0], self.data.n))
         for j in range(self.d):
-            prod *= self._terms(j, pts[:, j], "cdf")
+            prod *= cdf_terms(self.marginals[j], pts[:, j], self.data.rows[:, j])
         out = np.clip(prod.mean(axis=1), 0.0, 1.0)
         return _match_shape(out, x)
 
@@ -111,7 +93,7 @@ class JointEstimator:
         pts = _as_points(x, self.d)
         prod = np.ones((pts.shape[0], self.data.n))
         for j in range(self.d):
-            prod *= self._terms(j, pts[:, j], "pdf")
+            prod *= pdf_terms(self.marginals[j], pts[:, j], self.data.rows[:, j])
         out = prod.mean(axis=1)
         return _match_shape(out, x)
 
@@ -126,7 +108,8 @@ class JointEstimator:
     def _grid(self, axes: Sequence[np.ndarray], which: str) -> np.ndarray:
         if len(axes) != self.d:
             raise ConfigError(f"expected {self.d} axes, got {len(axes)}")
-        mats = [self._terms(j, np.asarray(axes[j], dtype=float).ravel(), which) for j in range(self.d)]
+        fn = cdf_terms if which == "cdf" else pdf_terms
+        mats = [fn(self.marginals[j], axes[j], self.data.rows[:, j]) for j in range(self.d)]
         letters = "abcdefghijk"
         if self.d > len(letters):
             raise ConfigError("tensor grids supported up to 11 dimensions")

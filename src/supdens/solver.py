@@ -49,7 +49,8 @@ from .estimators import (
     FittedEstimator,
     Sample,
     SupportInterval,
-    _reflection_cdf_terms,
+    _check_contains,
+    _reflection_terms,
     fit_boundary_kernel,
     fit_naive,
     fit_reflection,
@@ -231,7 +232,7 @@ def _reflection_extreme_cdf(
 ) -> float:
     """Reflection Fhat(e) on support [l, u] at the side-s extreme e."""
     e = data[-1] if s > 0 else data[0]
-    return float(_reflection_cdf_terms(np.array([[e]]), data, h, kernel, l, u).mean())
+    return float(_reflection_terms(kernel, False, e, data, h, l, u).mean())
 
 
 def _solve_reflection_side(
@@ -288,6 +289,9 @@ def solve_support(
     if n < 2:
         raise ConfigError("support solving needs at least two observations")
     x1, xn = sample.min, sample.max
+    # a known endpoint must not cut into the sample, as `fit` requires of any support
+    _check_contains(sample, -np.inf if mode.lower is None else mode.lower,
+                    np.inf if mode.upper is None else mode.upper)
     if h > (xn - x1) / 2.0:
         raise ConfigError(f"bandwidth {h} exceeds half the sample range {(xn - x1) / 2.0}")
     if tol <= 0:

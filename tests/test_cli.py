@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,7 +167,22 @@ def test_exit_codes(tmp_path, data_file, capsys):
     # data: missing file
     assert run_cli(["fit", "--method", "naive", "--bandwidth", "0.1", "--input",
                     str(tmp_path / "missing.csv")]) == 2
+    # data: a known endpoint inside the sample range, for fit and for solve
+    for command in ("fit", "solve"):
+        assert run_cli([command, "--method", "reflection", "--mode", "half-known-upper", "--upper", "0.5",
+                        "--bandwidth", "0.1", "--input", data_file]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m supdens.cli` parses its arguments like the `supdens` script
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["fit", "--method", "naive", "--bandwidth", "0.1", "--input", "data.csv", "--bogus"]
+    proc = subprocess.run([sys.executable, "-m", "supdens.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 def test_max_iter_is_a_fit_and_solve_option(data_file, data2d_file, capsys):

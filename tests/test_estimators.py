@@ -13,6 +13,7 @@ from supdens import (
     fit_naive,
     fit_reflection,
 )
+from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
 from supdens.quadrature import composite_simpson
 
 
@@ -195,6 +196,28 @@ def test_boundary_bias_ordering_at_endpoint():
     bias_naive_inner = abs(np.mean(acc["naive_inner"]) - 1.0)
     assert bias_naive > bias_refl
     assert bias_naive_inner > bias_bk
+
+
+@pytest.mark.parametrize("method,kernel", [
+    ("naive", EPANECHNIKOV), ("naive", GAUSSIAN), ("reflection", EPANECHNIKOV),
+    ("reflection", GAUSSIAN), ("boundary_kernel", EPANECHNIKOV),
+], ids=lambda v: getattr(v, "name", v))
+def test_row_blocks_match_row_by_row_terms(method, kernel):
+    rng = np.random.default_rng(14)
+    sample, h, support = random_config(rng)
+    if method == "naive":
+        est = fit_naive(sample, h, kernel)
+    elif method == "reflection":
+        est = fit_reflection(sample, h, kernel, support)
+    else:
+        est = fit_boundary_kernel(sample, h, kernel, support)
+    l, u = support.lower, support.upper
+    edges = [l, u, l + h, u - h, np.nextafter(l + h, l), np.nextafter(u - h, u)]
+    xs = np.concatenate([edges, rng.uniform(l - 0.5, u + 0.5, BLOCK_ROWS + 37)])
+    for terms in (pdf_terms, cdf_terms):
+        whole = terms(est, xs)
+        by_row = np.vstack([terms(est, xs[k:k + 1]) for k in range(xs.size)])
+        assert np.array_equal(whole, by_row)
 
 
 class TestEvaluateGrid:

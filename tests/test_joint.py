@@ -77,6 +77,23 @@ def test_upper_corner_and_clamping():
     assert joint_pdf(je, [2.0, 2.0]) == 0.0
 
 
+@pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
+def test_product_pairs_coordinates_of_the_same_observation(method):
+    # rows (x, 1 - x): the mass lies on the anti-diagonal, so pairing the
+    # coordinates by rank instead of by observation would put it on the
+    # diagonal (cdf(0.5, 0.5) near 0.47 instead of near 0)
+    rng = np.random.default_rng(49)
+    x = rng.uniform(0, 1, 200)
+    je = fit_joint(MultiSample(np.column_stack([x, 1.0 - x])), 0.1, EPANECHNIKOV, method,
+                   SupportMode.proposed())
+    assert joint_cdf(je, [0.5, 0.5]) < 0.05
+    assert joint_pdf(je, [0.3, 0.3]) == 0.0
+    assert joint_pdf(je, [0.3, 0.7]) > 1.0
+    assert je.cdf_grid([[0.5], [0.5]])[0, 0] < 0.05
+    grid = je.pdf_grid([[0.3], [0.3, 0.7]])
+    assert grid[0, 0] == 0.0 and grid[0, 1] > 1.0
+
+
 def test_rectangle_contains_rows():
     rng = np.random.default_rng(43)
     ms = MultiSample(beta_rows(rng, 80))

@@ -10,6 +10,7 @@ from supdens import (
     NAIVE,
     REFLECTION,
     ConfigError,
+    DataError,
     NumericError,
     Sample,
     SupportInterval,
@@ -302,6 +303,13 @@ def test_solver_preconditions():
         solve_support(s, 5.0, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
     with pytest.raises(ConfigError):
         solve_support(Sample([0.5]), 0.1, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
+    # a known endpoint on the wrong side of an extreme cuts into the sample
+    for method in (REFLECTION, BOUNDARY_KERNEL):
+        for mode in (SupportMode.half_known_lower(0.5), SupportMode.half_known_upper(0.5),
+                     SupportMode.half_known_lower(np.nextafter(s.min, 1.0)),
+                     SupportMode.half_known_upper(np.nextafter(s.max, 0.0))):
+            with pytest.raises(DataError, match="not contained in support"):
+                solve_support(s, 0.1, EPANECHNIKOV, method, mode)
 
 
 class TestFit:
