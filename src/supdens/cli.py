@@ -22,9 +22,7 @@ from .estimators import (
     BOUNDARY_KERNEL,
     NAIVE,
     REFLECTION,
-    FittedEstimator,
     Sample,
-    SupportInterval,
     evaluate_grid,
 )
 from .joint import MultiSample, fit_joint
@@ -119,11 +117,10 @@ def _parse_mode(args) -> Optional[SupportMode]:
         if args.lower is None:
             raise UsageError("--mode half-known-lower requires --lower")
         return SupportMode.half_known_lower(args.lower)
-    if name == "half-known-upper":
-        if args.upper is None:
-            raise UsageError("--mode half-known-upper requires --upper")
-        return SupportMode.half_known_upper(args.upper)
-    raise UsageError(f"unknown mode {name!r}")
+    # half-known-upper, the last of the parser's choices
+    if args.upper is None:
+        raise UsageError("--mode half-known-upper requires --upper")
+    return SupportMode.half_known_upper(args.upper)
 
 
 def _resolve_bandwidth(policy: str, sample: Sample, kernel) -> float:
@@ -185,12 +182,12 @@ def _cmd_eval(args) -> int:
         method = _METHOD_NAMES[model["method"]]
         sample = Sample(model["sample"])
         h = float(model["bandwidth"])
-        support = SupportInterval(
-            float(model["support"]["lower"]), float(model["support"]["upper"])
-        )
+        lower, upper = float(model["support"]["lower"]), float(model["support"]["upper"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"{args.model}: malformed model: {exc}") from exc
-    est = FittedEstimator(method, sample, h, support, kernel)
+    # build the estimator through fit, so that a model edited by hand meets fit's checks
+    mode = None if method == NAIVE else SupportMode.known(lower, upper)
+    est, _ = fit(sample, h, kernel, method, mode)
     grid = _parse_grid(args.grid)
     rows = evaluate_grid(est, grid)
     if args.format == "json":
@@ -206,12 +203,8 @@ def _cmd_solve(args) -> int:
     data = _read_csv(args.input, columns=1)
     sample = Sample(data[:, 0])
     mode = _parse_mode(args)
-    if mode is None:
-        raise UsageError("solve requires --mode")
-    method = _METHOD_NAMES[args.method]
-    if method == NAIVE:
-        raise UsageError("solve works with reflection or boundary-kernel")
     h = _resolve_bandwidth(args.bandwidth, sample, kernel)
+    method = _METHOD_NAMES[args.method]
     report = solve_support(sample, h, kernel, method, mode, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "method": args.method,
@@ -348,11 +341,7 @@ def _cmd_joint(args) -> int:
     data = MultiSample(arr)
     d = data.d
     mode = _parse_mode(args)
-    if mode is None:
-        raise UsageError("joint requires --mode")
     method = _METHOD_NAMES[args.method]
-    if method == NAIVE:
-        raise UsageError("joint works with reflection or boundary-kernel")
     if args.bandwidth == "lscv":
         hs = [lscv_bandwidth(data.coordinate(j), kernel) for j in range(d)]
     else:
@@ -472,10 +461,7 @@ def run_cli(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -187,8 +187,6 @@ def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
     xs = np.asarray(grid, dtype=float).ravel()
     if xs.size == 0:
         return np.empty((0, 3))
-    if not np.all(np.isfinite(xs)):
-        raise DataError("grid points must be finite")
     out = np.empty((xs.size, 3))
     out[:, 0] = xs
     out[:, 1] = pdf_terms(est, xs).mean(axis=1)
@@ -228,6 +226,8 @@ def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bo
     if est.method not in METHODS:
         raise ConfigError(f"unknown method {est.method!r}")
     xs = np.asarray(x, dtype=float).ravel()
+    if not np.all(np.isfinite(xs)):
+        raise DataError("evaluation points must be finite")
     data = est.sample.values if data is None else data
     out = np.empty((xs.size, data.size))
     for start in range(0, xs.size, BLOCK_ROWS):

@@ -131,8 +131,6 @@ def _as_points(x, d: int) -> np.ndarray:
             raise ConfigError(f"points have {arr.shape[1]} coordinates, estimator has {d}")
     else:
         raise ConfigError("points must be a d-vector or an (m, d) array")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("evaluation points must be finite")
     return arr
 
 

@@ -8,35 +8,44 @@ candidate support, the endpoints (l, u) are chosen so that
 the expected CDF values of the sample minimum and maximum.  Plugging the
 extremes themselves in instead corresponds to targets (0, 1).
 
-Each correction method has one one-sided solve, parametrised by the side
-s = +1 (right: e = X_(n), target n/(n+1)) or s = -1 (left: e = X_(1), target
-1/(n+1)).  It finds the side-s endpoint v from the signed objective
-s * (Fhat(e) - target), evaluated on the original sample; that objective is
-positive at e and nonincreasing as v moves outward on either side, so one
-bracket search, bisection and fallback serve both endpoints.  The unknown is
-mirrored, not the sample: solving the left side as the right side of -X is
-exact only for a compact kernel, because with the Gaussian kernel the
-reflection estimator's total mass falls short of 1 and the mirrored right
-equation is a different left equation.
+One solve serves both methods and both sides s = +1 (e = X_(n), target
+n/(n+1)) and s = -1 (e = X_(1), target 1/(n+1)).  It works on the sample
+centred at e and scaled by the bandwidth, z = (X - e) / h, for the unknown
+delta = s * (v - e) / h >= 0 that places the side-s endpoint v.  The
+objective g(delta) = s * (Fhat(e) - target) is positive at delta = 0,
+nonincreasing, and unchanged by shifting or rescaling the data, so data
+such as 1e9 + Beta, or extremes within 1e-300 of their neighbours, solve
+like data on [0, 1].  The unknown is mirrored, not the sample: with the
+Gaussian kernel the reflection CDF's mass falls short of 1, and the right
+equation of -X is a different left equation.
 
-For the boundary-kernel method the mass beyond e is
-m(v) = (1/n) sum W((X_i - e) / (v - e)), and Fhat(e) is 1 - m on the right
-and m on the left, so the two equations decouple exactly.  m increases from
-(#ties at e)/(2n) as v tends to e (each tied extreme contributes W(0) = 1/2)
-to 1/2 as v moves away, so for n >= 2 and an untied extreme a unique root
-exists and bisection with a sign-checked, range-doubling bracket finds it.
+Boundary kernel: g(delta) = 1/(n+1) - mean W(s * z / delta) on either side,
+so the equations decouple.  The mean W rises from (#ties at e)/(2n) at
+delta = 0 to 1/2, so an untied extreme has one root; the bracket [0, 1]
+doubles until it holds it.  Bisection first runs in data coordinates from
+e + s*(|e|*1e-12 + 1e-300), where this solver always started it: the pdf
+jumps at l + h and u - h, and this keeps the endpoints of ordinary data bit
+for bit.  Only when that start lies past the root or the bisection cannot
+reach tol (data far from 0 relative to h, near-tied extremes) does the
+delta bisection below take over.
 
-For the reflection method Fhat(e) is the reflection CDF with the other
-endpoint held fixed; it is constant beyond e + s*h for a compact kernel, so
-the bracket is [e, e + s*h].  When the target is not straddled the solver
-falls back to the extreme itself and sets a flag.  The residual two-sided
-coupling is resolved by alternating one-dimensional solves until both
-endpoints stop moving.
+Reflection: Fhat(e) is the reflection CDF at z = 0 with h = 1 and the other
+endpoint held fixed, constant beyond delta = 1 for a compact kernel, so the
+bracket is [0, 1]; when it misses the target the endpoint falls back to e
+with a flag.  Alternating one-sided solves run until both endpoints move
+less than MOVE_TOL bandwidths, or raise NumericError after MAX_SWEEPS.
+
+In delta, the bracket's upper end is halved while the root lies lower, and
+bisection stops at |g| < tol, or raises NumericError once the bracket is two
+adjacent floats.  The residual is s * g at the solved delta, before the
+endpoint e + s*h*delta rounds to the data's spacing: on 1e9 + Beta with
+h = 0.05 the fitted estimator's own Fhat(e) - target reaches 6e-8 (1e-4 at
+1e12), however small the reported residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -112,7 +121,12 @@ class SupportMode:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solved endpoints with residuals, brackets, iteration counts, and flags."""
+    """Solved endpoints with residuals, brackets, iteration counts, and flags.
+
+    A residual is s * g at the solved point, Fhat(e) - target of the side's
+    equation; a delta solve evaluates it before the endpoint rounds to the
+    data's spacing (see the module docstring).
+    """
 
     l_hat: float
     u_hat: float
@@ -127,56 +141,28 @@ class SolveReport:
     outer_sweeps: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "l_hat": self.l_hat,
-            "u_hat": self.u_hat,
-            "residual_left": self.residual_left,
-            "residual_right": self.residual_right,
-            "iterations_left": self.iterations_left,
-            "iterations_right": self.iterations_right,
-            "bracket_left": list(self.bracket_left),
-            "bracket_right": list(self.bracket_right),
-            "fallback_left": self.fallback_left,
-            "fallback_right": self.fallback_right,
-            "outer_sweeps": self.outer_sweeps,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _bisect(
-    g: Callable[[float], float], s: int, near: float, far: float, g_near: float, g_far: float,
-    tol: float, max_iter: int,
-):
-    """Bisection for g = 0 between near (g > 0) and far (g <= 0).
+def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float, max_iter: int):
+    """(root, g(root), iterations) of g = 0 between lo and hi (either order), g(lo) > 0 >= g(hi).
 
-    g is the signed objective s * (Fhat(e) - target); returns (root, residual
-    Fhat(e) - target, iterations, bracket as (lower, upper), fallback flag).
+    Stops at |g| < tol; raises NumericError after max_iter steps or at adjacent floats.
     """
-    bracket = (min(near, far), max(near, far))
-    best_x, best_g = (near, g_near) if abs(g_near) < abs(g_far) else (far, g_far)
+    best = (np.inf, lo)
     for it in range(1, max_iter + 1):
-        mid = 0.5 * (near + far)
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         gm = g(mid)
-        if abs(gm) < abs(best_g):
-            best_x, best_g = mid, gm
         if abs(gm) < tol:
-            return mid, s * gm, it, bracket, False
-        if gm > 0.0:
-            near = mid
-        else:
-            far = mid
+            return mid, gm, it
+        best = min(best, (abs(gm), mid))
+        lo, hi = (mid, hi) if gm > 0.0 else (lo, mid)
     raise NumericError(
-        f"bisection did not reach tolerance {tol} in {max_iter} iterations "
-        f"(best residual {s * best_g:.3e} at {best_x!r}, bracket [{min(near, far)!r}, {max(near, far)!r}])"
+        f"bisection did not reach tolerance {tol} in {it} iterations (best |residual| {best[0]:.3e} "
+        f"at {best[1]!r}, bracket [{min(lo, hi)!r}, {max(lo, hi)!r}])"
     )
-
-
-def _extreme_and_target(data: np.ndarray, s: int) -> Tuple[float, float]:
-    """The side-s sample extreme e and its order-statistic target for Fhat(e)."""
-    n = data.size
-    return (float(data[-1]), n / (n + 1.0)) if s > 0 else (float(data[0]), 1.0 / (n + 1.0))
-
-
-# -- boundary kernel -------------------------------------------------------------
 
 
 def _bk_extreme_cdf(data: np.ndarray, kernel: KernelSpec, s: int, v: float) -> float:
@@ -190,72 +176,81 @@ def _bk_extreme_cdf(data: np.ndarray, kernel: KernelSpec, s: int, v: float) -> f
     return 1.0 - m if s > 0 else m
 
 
-def _bk_limit(data: np.ndarray, s: int) -> float:
-    # limit of Fhat(e) as v tends to e: each tied extreme contributes W(0) = 1/2
-    e = data[-1] if s > 0 else data[0]
-    m = int(np.count_nonzero(data == e)) / (2.0 * data.size)
-    return 1.0 - m if s > 0 else m
+def _extreme_and_target(data: np.ndarray, s: int) -> Tuple[float, float]:
+    """The side-s sample extreme e and its order-statistic target for Fhat(e)."""
+    n = data.size
+    return (float(data[-1]), n / (n + 1.0)) if s > 0 else (float(data[0]), 1.0 / (n + 1.0))
 
 
-def _solve_bk_side(data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int, s: int):
-    e, target = _extreme_and_target(data, s)
-    side = "right" if s > 0 else "left"
-    limit = _bk_limit(data, s)
-    if s * (limit - target) <= 0.0:
-        # tied extremes hold Fhat(e) on the wrong side of the target: no root beyond e
-        return e, limit - float(s > 0), 0, (e, e), True
-    g = lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target)
-    near = e + s * (abs(e) * 1e-12 + 1e-300)
-    g_near = g(near)
-    if g_near <= 0.0:
-        raise NumericError(
-            f"{side} objective already past target {target} at the bracket start {near!r}; "
-            "data scale defeats the near-extreme offset"
-        )
-    span = h
-    far = e + s * span
-    g_far = g(far)
-    while g_far > 0.0:
-        span *= 2.0
-        far = e + s * span
-        g_far = g(far)
-        if not np.isfinite(far):
-            raise NumericError(f"{side} bracket expansion overflowed")
-    return _bisect(g, s, near, far, g_near, g_far, tol, max_iter)
+def _bk_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float):
+    """(g, e, unit of delta, target, data-coordinate start) of g = 1/(n+1) - mean W(s*z/delta).
 
-
-# -- reflection ------------------------------------------------------------------
-
-
-def _reflection_extreme_cdf(
-    data: np.ndarray, kernel: KernelSpec, h: float, s: int, l: float, u: float
-) -> float:
-    """Reflection Fhat(e) on support [l, u] at the side-s extreme e."""
-    e = data[-1] if s > 0 else data[0]
-    return float(_reflection_terms(kernel, False, e, data, h, l, u).mean())
-
-
-def _solve_reflection_side(
-    data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int, s: int, l: float, u: float,
-):
-    """One-dimensional reflection solve for the side-s endpoint, the other held fixed.
-
-    The signed objective is nonincreasing outward and constant beyond e + s*h
-    for a compact kernel, so the bracket is [e, e + s*h]; when it does not
-    straddle the target the endpoint falls back to e.
+    The unit is h, or a power-of-two fraction of it when e's nearest neighbour
+    is a subnormal number of bandwidths away, so z and delta keep full precision.
     """
+    n = data.size
     e, target = _extreme_and_target(data, s)
+    gap = np.abs(data[data != e] - e).min()
+    unit = h
+    if gap / h < np.finfo(float).tiny:
+        # exponents taken apart, because gap / h may underflow to 0
+        unit = float(np.ldexp(h, np.frexp(gap)[1] - np.frexp(h)[1] + 1020))
+    z = (data - e) / unit
+    # as delta -> 0 the mean W tends to (#ties at e)/(2n): each tied extreme keeps W(0) = 1/2
+    g0 = 1.0 / (n + 1.0) - np.count_nonzero(z == 0.0) / (2.0 * n)
 
-    def g(v: float) -> float:
-        lv, uv = (l, v) if s > 0 else (v, u)
-        return s * (_reflection_extreme_cdf(data, kernel, h, s, lv, uv) - target)
+    def g(d: float) -> float:
+        return g0 if d == 0.0 else 1.0 / (n + 1.0) - float(np.mean(kernel.cdf(s * z / d)))
 
-    near, far = e, e + s * h
-    g_near, g_far = g(near), g(far)
-    if not (g_far < 0.0 < g_near):
-        res = g_near if abs(g_near) < abs(g_far) else g_far
-        return e, s * res, 0, (min(near, far), max(near, far)), True
-    return _bisect(g, s, near, far, g_near, g_far, tol, max_iter)
+    return g, e, unit, target, e + s * (abs(e) * 1e-12 + 1e-300)
+
+
+def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float):
+    """(g, e, h, target, None): Fhat(e) at z = 0, h = 1 and the other endpoint at (other - e)/h."""
+    e, target = _extreme_and_target(data, s)
+    z = (data - e) / h
+    o = (other - e) / h
+
+    def g(d: float) -> float:
+        l, u = (o, d) if s > 0 else (-d, o)
+        return s * (float(_reflection_terms(kernel, False, 0.0, z, 1.0, l, u).mean()) - target)
+
+    return g, e, h, target, None
+
+
+@np.errstate(over="ignore")  # s*z/delta overflows to -inf at tiny delta, where W is 0 as it should be
+def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int,
+                s: int, other: float = np.nan):
+    """(endpoint, residual, iterations, bracket, fallback) of side s, the other endpoint at `other`.
+
+    An objective with a data-coordinate start (the boundary kernel) doubles the bracket [0, 1].
+    """
+    g, e, unit, target, start = objective(data, kernel, h, s, other)
+    g0, hi = g(0.0), 1.0
+    g_hi = g(hi)
+    while start is not None and g_hi > 0.0:
+        hi *= 2.0
+        if not np.isfinite(hi):
+            raise NumericError("boundary-kernel bracket expansion overflowed")
+        g_hi = g(hi)
+    if not g0 > 0.0 >= g_hi:
+        # tied extremes (boundary kernel), or a target the reflection bracket misses
+        res = g0 if abs(g0) < abs(g_hi) else g_hi
+        return e, s * res, 0, tuple(sorted((e, e + s * unit))), True
+    if start is not None and g(s * (start - e) / unit) > 0.0:
+        # data coordinates first, which keep the endpoints of ordinary data bit for bit
+        far = e + s * unit * hi
+        try:
+            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far,
+                                 tol, max_iter)
+            return v, s * res, it, tuple(sorted((start, far))), False
+        except NumericError:
+            pass
+    while 0.5 * hi > 0.0 and g(0.5 * hi) <= 0.0:
+        hi *= 0.5
+    d, res, it = _bisect(g, 0.5 * hi, hi, tol, max_iter)
+    bracket = tuple(sorted((e + s * unit * 0.5 * hi, e + s * unit * hi)))
+    return e + s * unit * d, s * res, it, bracket, False
 
 
 # -- public entry points ---------------------------------------------------------
@@ -285,8 +280,7 @@ def solve_support(
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
     data = sample.values
-    n = sample.n
-    if n < 2:
+    if sample.n < 2:
         raise ConfigError("support solving needs at least two observations")
     x1, xn = sample.min, sample.max
     # a known endpoint must not cut into the sample, as `fit` requires of any support
@@ -299,8 +293,9 @@ def solve_support(
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
 
+    objective = _bk_objective if method == BOUNDARY_KERNEL else _reflection_objective
     if mode.kind == "extremes":
-        return _extremes_report(data, kernel, h, method)
+        return _extremes_report(data, kernel, h, objective)
 
     sides = {"proposed": (1, -1), "half_known_lower": (1,), "half_known_upper": (-1,)}[mode.kind]
     # (endpoint, residual, iterations, bracket, fallback) per side; a known
@@ -310,32 +305,36 @@ def solve_support(
     result = {-1: (l0, 0.0, 0, (l0, l0), False), 1: (u0, 0.0, 0, (u0, u0), False)}
     sweeps = 0
     if method == BOUNDARY_KERNEL:
-        # the two boundary-kernel equations decouple exactly
-        for s in sides:
-            result[s] = _solve_bk_side(data, kernel, h, tol, max_iter, s)
+        for s in sides:  # the two equations decouple
+            result[s] = _solve_side(objective, data, kernel, h, tol, max_iter, s)
     else:
-        # reflection: alternate one-dimensional solves until both endpoints settle
+        # reflection: alternate one-dimensional solves until both endpoints
+        # move less than MOVE_TOL bandwidths
         for sweeps in range(1, MAX_SWEEPS + 1):
             moved = 0.0
             for s in sides:
-                new = _solve_reflection_side(data, kernel, h, tol, max_iter, s, result[-1][0], result[1][0])
-                moved = max(moved, abs(new[0] - result[s][0]))
+                new = _solve_side(objective, data, kernel, h, tol, max_iter, s, result[-s][0])
+                moved = max(moved, abs(new[0] - result[s][0]) / h)
                 result[s] = new
             if moved < MOVE_TOL:
                 break
+        else:
+            raise NumericError(
+                f"reflection endpoints still moved {moved:.3e} bandwidths after {MAX_SWEEPS} sweeps"
+            )
     (l_hat, res_l, it_l, br_l, fb_l), (u_hat, res_r, it_r, br_r, fb_r) = result[-1], result[1]
     return SolveReport(l_hat, u_hat, res_l, res_r, it_l, it_r, br_l, br_r, fb_l, fb_r, sweeps)
 
 
-def _extremes_report(data: np.ndarray, kernel: KernelSpec, h: float, method: str) -> SolveReport:
+def _extremes_report(data: np.ndarray, kernel: KernelSpec, h: float, objective) -> SolveReport:
     """The sample extremes as the support, with residuals against targets (0, 1)."""
     x1, xn = float(data[0]), float(data[-1])
-    if method == BOUNDARY_KERNEL:
-        res_l, res_r = _bk_limit(data, -1), _bk_limit(data, 1) - 1.0
-    else:
-        res_l = _reflection_extreme_cdf(data, kernel, h, -1, x1, xn)
-        res_r = _reflection_extreme_cdf(data, kernel, h, 1, x1, xn) - 1.0
-    return SolveReport(x1, xn, res_l, res_r, 0, 0, (x1, x1), (xn, xn), False, False, 0)
+    res = {}
+    for s, other in ((-1, xn), (1, x1)):
+        # at delta = 0 the objective gives Fhat(e) = target + s * g(0)
+        g, _, _, target, _ = objective(data, kernel, h, s, other)
+        res[s] = target + s * g(0.0) - (s > 0)
+    return SolveReport(x1, xn, res[-1], res[1], 0, 0, (x1, x1), (xn, xn), False, False, 0)
 
 
 def fit(

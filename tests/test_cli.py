@@ -77,6 +77,19 @@ def test_fit_eval_round_trip_bit_exact(data_file, tmp_path):
     assert b1.decode() == expected
 
 
+def test_eval_validates_the_model(tmp_path, capsys):
+    # eval builds the estimator through fit, so a model edited by hand meets its checks
+    path = tmp_path / "model.json"
+    model = {"method": "boundary-kernel", "kernel": "gaussian", "bandwidth": 5.0,
+             "support": {"lower": 0.4, "upper": 1.0}, "solve_report": None, "sample": [0.2, 0.5, 0.8]}
+    path.write_text(json.dumps(model))
+    assert run_cli(["eval", "--model", str(path), "--grid", "0:1:3"]) == 1
+    model.update(method="reflection", kernel="epanechnikov", bandwidth=0.1)
+    path.write_text(json.dumps(model))
+    assert run_cli(["eval", "--model", str(path), "--grid", "0:1:3"]) == 2
+    assert "not contained in support" in capsys.readouterr().err
+
+
 def test_simulate_byte_identical(tmp_path):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"

@@ -220,6 +220,20 @@ def test_row_blocks_match_row_by_row_terms(method, kernel):
         assert np.array_equal(whole, by_row)
 
 
+@pytest.mark.parametrize("method", ["naive", "reflection", "boundary_kernel"])
+@pytest.mark.parametrize("which", ["pdf", "cdf"])
+def test_nonfinite_points_rejected(method, which):
+    sample, support = Sample([0.3, 0.5, 0.7]), SupportInterval(0.0, 1.0)
+    est = {
+        "naive": lambda: fit_naive(sample, 0.2, EPANECHNIKOV),
+        "reflection": lambda: fit_reflection(sample, 0.2, EPANECHNIKOV, support),
+        "boundary_kernel": lambda: fit_boundary_kernel(sample, 0.2, EPANECHNIKOV, support),
+    }[method]()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="finite"):
+            getattr(est, which)(np.array([0.5, bad]))
+
+
 class TestEvaluateGrid:
     def test_empty(self):
         est = fit_naive(Sample([0.0, 1.0]), 0.5, EPANECHNIKOV)

@@ -167,3 +167,14 @@ def test_config_errors():
         joint_cdf(je, [0.5])
     with pytest.raises(ConfigError):
         je.pdf_grid([np.linspace(0, 1, 5)])
+
+
+def test_nonfinite_points_rejected():
+    # the univariate terms reject a non-finite coordinate for the joint too
+    ms = MultiSample(beta_rows(np.random.default_rng(49), 30))
+    je = fit_joint(ms, 0.1, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
+    for evaluate in (joint_cdf, joint_pdf):
+        with pytest.raises(DataError, match="finite"):
+            evaluate(je, [0.5, np.nan])
+    with pytest.raises(DataError, match="finite"):
+        je.cdf_grid([np.linspace(0, 1, 3), np.array([0.5, np.inf])])

@@ -19,6 +19,7 @@ from supdens import (
     fit_boundary_kernel,
     solve_support,
 )
+from supdens import solver
 from supdens.solver import _bk_extreme_cdf
 
 
@@ -239,14 +240,6 @@ def test_affine_equivariance(method):
         assert rep.u_hat == pytest.approx(a * base.u_hat + b, abs=1e-8)
 
 
-def _solve_outcome(sample, h, method, mode):
-    """solve_support's report, or the class of the NumericError it raised."""
-    try:
-        return solve_support(sample, h, EPANECHNIKOV, method, mode)
-    except NumericError as exc:
-        return type(exc)
-
-
 def _mirrored(rep):
     """The report fields expected for -X given the report for X: sides swap, signs flip."""
     return (
@@ -278,18 +271,116 @@ def test_mirror_symmetry(method, values, frac, slack):
         (SupportMode.half_known_lower(a), SupportMode.half_known_upper(-a)),
         (SupportMode.half_known_upper(b), SupportMode.half_known_lower(-b)),
     ]:
-        rep = _solve_outcome(s, h, method, mode)
-        mir = _solve_outcome(m, h, method, mirror_mode)
-        if rep is NumericError or mir is NumericError:
-            # extremes within ~1e-300 of their neighbours defeat the solver on
-            # both sides alike
-            assert rep is mir
-            continue
+        rep = solve_support(s, h, EPANECHNIKOV, method, mode)
+        mir = solve_support(m, h, EPANECHNIKOV, method, mirror_mode)
         got = (mir.l_hat, mir.u_hat, mir.iterations_left, mir.iterations_right,
                mir.bracket_left, mir.bracket_right, mir.fallback_left, mir.fallback_right, mir.outer_sweeps)
         assert got == _mirrored(rep)
         assert mir.residual_left == pytest.approx(-rep.residual_right, abs=1e-12)
         assert mir.residual_right == pytest.approx(-rep.residual_left, abs=1e-12)
+
+
+# dyadic samples: multiples of 2^-10 in [0, 1], exact under the shifts and scalings below
+_dyadic = st.lists(st.integers(0, 2**10), min_size=3, max_size=60).map(lambda ks: np.asarray(ks) / 2.0**10)
+
+
+def _unflagged_residuals_within_tol(rep, tol=1e-10):
+    return all(fb or abs(res) <= tol for res, fb in ((rep.residual_left, rep.fallback_left),
+                                                      (rep.residual_right, rep.fallback_right)))
+
+
+@pytest.mark.parametrize("method", [BOUNDARY_KERNEL, REFLECTION])
+@settings(deadline=None)
+@given(values=_dyadic, frac=st.floats(0.05, 1.0), shift=st.integers(-2**50, 2**50).map(lambda k: k / 2.0**10))
+def test_translation_equivariance(method, values, frac, shift):
+    # X + t is exact, so z = (X - e)/h and every step of the delta solve are
+    # bit-identical; only the final e + s*h*delta rounds at the shifted scale.
+    # The boundary kernel first bisects in data coordinates from
+    # e + s*(|e|*1e-12 + 1e-300), which does not shift with the data, so its
+    # endpoints follow the shift only within the solver tolerance: down to
+    # n = 3 the equation can be flat enough near its root that |g| < 1e-10
+    # spans ~1e-6 bandwidths.
+    s = Sample(values)
+    assume(s.max > s.min)
+    h = frac * (s.max - s.min) / 2.0
+    rep = solve_support(s, h, EPANECHNIKOV, method, SupportMode.proposed())
+    mov = solve_support(Sample(s.values + shift), h, EPANECHNIKOV, method, SupportMode.proposed())
+    slack = 1e-5 * h if method == BOUNDARY_KERNEL else 0.0
+    for a, b in ((rep.l_hat, mov.l_hat), (rep.u_hat, mov.u_hat)):
+        assert abs((b - shift) - a) <= slack + 2 * np.spacing(max(abs(a), abs(b)))
+    assert (mov.fallback_left, mov.fallback_right) == (rep.fallback_left, rep.fallback_right)
+    if method == REFLECTION:
+        assert (mov.residual_left, mov.residual_right) == (rep.residual_left, rep.residual_right)
+    assert _unflagged_residuals_within_tol(rep) and _unflagged_residuals_within_tol(mov)
+
+
+@pytest.mark.parametrize("method", [BOUNDARY_KERNEL, REFLECTION])
+@settings(deadline=None)
+@given(values=_dyadic, frac=st.floats(0.05, 1.0), power=st.sampled_from([-660, 660]))
+def test_scale_equivariance(method, values, frac, power):
+    # scaling by a power of two is exact in every step, down to the endpoints
+    s = Sample(values)
+    assume(s.max > s.min)
+    h = frac * (s.max - s.min) / 2.0
+    c = 2.0**power
+    rep = solve_support(s, h, EPANECHNIKOV, method, SupportMode.proposed())
+    big = solve_support(Sample(c * s.values), c * h, EPANECHNIKOV, method, SupportMode.proposed())
+    assert (big.l_hat, big.u_hat) == (c * rep.l_hat, c * rep.u_hat)
+    brackets = [(c * lo, c * hi) for lo, hi in (rep.bracket_left, rep.bracket_right)]
+    if method == BOUNDARY_KERNEL:
+        # the inner ends of data-coordinate brackets hold e + s*(|e|*1e-12 + 1e-300),
+        # whose 1e-300 does not scale
+        assert (big.bracket_left[0], big.bracket_right[1]) == (brackets[0][0], brackets[1][1])
+    else:
+        assert [big.bracket_left, big.bracket_right] == brackets
+    assert (big.residual_left, big.residual_right, big.fallback_left, big.fallback_right) == (
+        rep.residual_left, rep.residual_right, rep.fallback_left, rep.fallback_right)
+    assert _unflagged_residuals_within_tol(big)
+
+
+@pytest.mark.parametrize("method", [BOUNDARY_KERNEL, REFLECTION])
+@pytest.mark.parametrize("gap, top, h", [
+    (2.2e-308, 0.025, 0.01), (2.6e-199, 0.025, 0.01), (5e-324, 0.025, 0.01),
+    (5e-324, 10.0, 2.0),  # gap / h underflows to 0
+])
+def test_near_tied_minimum_solves(method, gap, top, h):
+    # in bandwidths the boundary-kernel left equation reads
+    # (W(0) + W(-gap/(h delta)) + 0)/3 = 1/4, so l-hat = -gap/|t| with W(t) = 1/4
+    s = Sample([0.0, gap, top])
+    rep = solve_support(s, h, EPANECHNIKOV, method, SupportMode.proposed())
+    assert _unflagged_residuals_within_tol(rep)
+    assert rep.l_hat <= s.min and rep.u_hat >= s.max
+    if method == BOUNDARY_KERNEL:
+        t = [r.real for r in np.roots([-0.25, 0.0, 0.75, 0.25]) if -1 < r.real < 0][0]
+        assert not rep.fallback_left
+        # a subnormal endpoint (gap 5e-324) keeps only its few significant bits
+        normal = abs(gap / t) >= np.finfo(float).tiny
+        assert rep.l_hat == pytest.approx(gap / t, rel=1e-6 if normal else 0.5)
+
+
+@pytest.mark.parametrize("method", [BOUNDARY_KERNEL, REFLECTION])
+@pytest.mark.parametrize("shift", [1e9, 1e12])
+def test_shifted_sample_solves(method, shift):
+    # timestamps-like data: the shifted sample is the beta sample rounded to
+    # multiples of spacing(shift), and its endpoints follow within a few of those
+    x = np.random.default_rng(0).beta(3.0, 1.0, 300)
+    base = solve_support(Sample(x), 0.05, EPANECHNIKOV, method, SupportMode.proposed())
+    rep = solve_support(Sample(x + shift), 0.05, EPANECHNIKOV, method, SupportMode.proposed())
+    assert _unflagged_residuals_within_tol(rep)
+    assert (rep.fallback_left, rep.fallback_right) == (base.fallback_left, base.fallback_right)
+    assert not rep.fallback_right
+    assert rep.l_hat - shift == pytest.approx(base.l_hat, abs=4 * np.spacing(shift))
+    assert rep.u_hat - shift == pytest.approx(base.u_hat, abs=4 * np.spacing(shift))
+
+
+def test_sweep_cap_raises(monkeypatch):
+    # a reflection solve that needs a second sweep to confirm that it settled
+    s = uniform_sample(np.random.default_rng(27), 100)
+    rep = solve_support(s, 0.1, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
+    assert not (rep.fallback_left or rep.fallback_right) and rep.outer_sweeps == 2
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
+    with pytest.raises(NumericError, match="after 1 sweeps"):
+        solve_support(s, 0.1, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
 
 
 def test_solver_preconditions():
