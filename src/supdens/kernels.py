@@ -9,12 +9,20 @@ Conventions:
     K(z) >= 0, K(z) = K(-z), integral of K over its support is 1.
     W(z)  = integral of K from -inf to z, so W(0) = 1/2 and W(z)+W(-z) = 1.
     (K*K)(t) = integral of K(v) K(v - t) dv, in closed form for every kernel.
+
+On its support the Epanechnikov kernel is a polynomial in |t|:
+
+    K(t)     = (3/4)(1 - t^2)                        on |t| <= 1,
+    (K*K)(t) = (3/160)(32 - 40 t^2 + 20 |t|^3 - |t|^5)  on |t| <= 2,
+
+so sums of K and K*K over a sorted sample reduce to window moments (see
+`bandwidth`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -78,7 +86,9 @@ class KernelSpec:
 
     ``support_radius`` is the half-width of supp(K); ``np.inf`` for the
     Gaussian.  ``convolution`` is always set: the closed-form K*K that
-    least-squares cross-validation sums.
+    least-squares cross-validation sums.  ``polynomial``, when set, holds the
+    coefficients in |t|, lowest degree first, of K on |t| <= support_radius
+    and of K*K on |t| <= 2 * support_radius; the Gaussian has none.
     """
 
     name: str
@@ -86,6 +96,7 @@ class KernelSpec:
     cdf: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     convolution: Callable[[np.ndarray], np.ndarray]
+    polynomial: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
 
     @property
     def compact(self) -> bool:
@@ -98,6 +109,7 @@ EPANECHNIKOV = KernelSpec(
     cdf=_epan_W,
     support_radius=1.0,
     convolution=_epan_KK,
+    polynomial=((0.75, 0.0, -0.75), (0.6, 0.0, -0.75, 0.375, 0.0, -0.01875)),
 )
 
 GAUSSIAN = KernelSpec(

@@ -32,8 +32,11 @@ delta bisection below take over.
 Reflection: Fhat(e) is the reflection CDF at z = 0 with h = 1 and the other
 endpoint held fixed, constant beyond delta = 1 for a compact kernel, so the
 bracket is [0, 1]; when it misses the target the endpoint falls back to e
-with a flag.  Alternating one-sided solves run until both endpoints move
-less than MOVE_TOL bandwidths, or raise NumericError after MAX_SWEEPS.
+with a flag.  With a compact kernel the two equations decouple (h is at most
+half the sample range), so one sweep of one-sided solves settles both
+endpoints.  With the Gaussian they couple, and alternating one-sided solves
+run until both endpoints move less than MOVE_TOL bandwidths, or raise
+NumericError after MAX_SWEEPS.
 
 In delta, the bracket's upper end is halved while the root lies lower, and
 bisection stops at |g| < tol, or raises NumericError once the bracket is two
@@ -304,12 +307,18 @@ def solve_support(
     u0 = float(mode.upper) if mode.upper is not None else xn
     result = {-1: (l0, 0.0, 0, (l0, l0), False), 1: (u0, 0.0, 0, (u0, u0), False)}
     sweeps = 0
-    if method == BOUNDARY_KERNEL:
-        for s in sides:  # the two equations decouple
-            result[s] = _solve_side(objective, data, kernel, h, tol, max_iter, s)
+    if kernel.compact:
+        # The two equations decouple.  The boundary kernel's never involve the
+        # other endpoint.  In the reflection equation of side s, the mirrored
+        # terms across the other endpoint are exactly 0 and 1 for every
+        # l <= X_(1) and u >= X_(n), because h <= (X_(n) - X_(1))/2 (checked
+        # above), so one sweep solves both.
+        for s in sides:
+            result[s] = _solve_side(objective, data, kernel, h, tol, max_iter, s, result[-s][0])
+        sweeps = int(method == REFLECTION)
     else:
-        # reflection: alternate one-dimensional solves until both endpoints
-        # move less than MOVE_TOL bandwidths
+        # reflection with the Gaussian: alternate one-dimensional solves until
+        # both endpoints move less than MOVE_TOL bandwidths
         for sweeps in range(1, MAX_SWEEPS + 1):
             moved = 0.0
             for s in sides:

@@ -13,6 +13,7 @@ from supdens import (
     fit_naive,
     fit_reflection,
 )
+from supdens import estimators
 from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
 from supdens.quadrature import composite_simpson
 
@@ -218,6 +219,34 @@ def test_row_blocks_match_row_by_row_terms(method, kernel):
         whole = terms(est, xs)
         by_row = np.vstack([terms(est, xs[k:k + 1]) for k in range(xs.size)])
         assert np.array_equal(whole, by_row)
+
+
+@pytest.mark.parametrize("method,kernel", [
+    ("naive", EPANECHNIKOV), ("naive", GAUSSIAN), ("reflection", EPANECHNIKOV),
+    ("reflection", GAUSSIAN), ("boundary_kernel", EPANECHNIKOV),
+], ids=lambda v: getattr(v, "name", v))
+@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 1], ids=["default_chunk", "block_chunk"])
+def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatch):
+    # pdf, cdf and evaluate_grid reduce one chunk of rows at a time (with
+    # chunk = 1, one BLOCK_ROWS block); the values must be the row means of
+    # the whole term matrix, bit for bit
+    monkeypatch.setattr(estimators, "MEAN_CHUNK", chunk)
+    rng = np.random.default_rng(15)
+    l, u = -0.4, 1.3
+    sample, h = Sample(rng.uniform(l + 0.01, u - 0.01, 700)), 0.21
+    support = SupportInterval(l, u)
+    est = {
+        "naive": lambda: fit_naive(sample, h, kernel),
+        "reflection": lambda: fit_reflection(sample, h, kernel, support),
+        "boundary_kernel": lambda: fit_boundary_kernel(sample, h, kernel, support),
+    }[method]()
+    edges = [l, u, l + h, u - h, np.nextafter(l + h, l), np.nextafter(u - h, u)]
+    xs = np.concatenate([edges, rng.uniform(l - 0.3, u + 0.3, BLOCK_ROWS + 43 - len(edges))])
+    pdf, cdf = pdf_terms(est, xs).mean(axis=1), cdf_terms(est, xs).mean(axis=1)
+    assert np.array_equal(est.pdf(xs), pdf) and np.array_equal(est.cdf(xs), cdf)
+    grid = evaluate_grid(est, xs)
+    assert np.array_equal(grid[:, 1], pdf) and np.array_equal(grid[:, 2], cdf)
+    assert est.pdf(float(xs[7])) == pdf[7] and est.cdf(float(xs[7])) == cdf[7]
 
 
 @pytest.mark.parametrize("method", ["naive", "reflection", "boundary_kernel"])

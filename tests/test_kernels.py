@@ -80,3 +80,13 @@ def test_lookup_and_errors():
         eval_K(EPANECHNIKOV, np.inf)
     with pytest.raises(DataError):
         eval_W(GAUSSIAN, np.nan)
+
+
+def test_epanechnikov_polynomial_reproduces_kernel_and_convolution():
+    # the coefficients in |t| that LSCV's window sums use
+    k_coeffs, kk_coeffs = EPANECHNIKOV.polynomial
+    assert GAUSSIAN.polynomial is None
+    t = np.linspace(0.0, 1.0, 2001)
+    assert np.max(np.abs(np.polynomial.polynomial.polyval(t, k_coeffs) - EPANECHNIKOV.pdf(t))) <= 1e-15
+    t = np.linspace(0.0, 2.0, 4001)
+    assert np.max(np.abs(np.polynomial.polynomial.polyval(t, kk_coeffs) - EPANECHNIKOV.convolution(t))) <= 1e-15

@@ -190,11 +190,14 @@ class TestReflectionSolve:
                 assert abs(rep.residual_left) < 1e-10
         assert ok > 25  # fallbacks are the exception at these sizes
 
-    def test_decoupled_solves_converge_in_two_sweeps(self):
+    def test_decoupled_solves_converge_in_one_sweep(self):
+        # compact kernel, h <= range/2: each side's mirrored terms across the
+        # other endpoint are exactly 0 and 1, so no confirmation sweep runs
         rng = np.random.default_rng(27)
         s = uniform_sample(rng, 100)
-        rep = solve_support(s, 0.1, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
-        assert rep.outer_sweeps <= 2
+        for mode in (SupportMode.proposed(), SupportMode.half_known_lower(-0.1), SupportMode.half_known_upper(1.1)):
+            rep = solve_support(s, 0.1, EPANECHNIKOV, REFLECTION, mode)
+            assert rep.outer_sweeps == 1
 
     def test_fallback_when_target_outside_bracket(self):
         # two far-apart points with a small bandwidth: the reflection CDF at
@@ -374,13 +377,13 @@ def test_shifted_sample_solves(method, shift):
 
 
 def test_sweep_cap_raises(monkeypatch):
-    # a reflection solve that needs a second sweep to confirm that it settled
+    # a Gaussian reflection solve that needs a second sweep to confirm that it settled
     s = uniform_sample(np.random.default_rng(27), 100)
-    rep = solve_support(s, 0.1, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
+    rep = solve_support(s, 0.1, GAUSSIAN, REFLECTION, SupportMode.proposed())
     assert not (rep.fallback_left or rep.fallback_right) and rep.outer_sweeps == 2
     monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
     with pytest.raises(NumericError, match="after 1 sweeps"):
-        solve_support(s, 0.1, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
+        solve_support(s, 0.1, GAUSSIAN, REFLECTION, SupportMode.proposed())
 
 
 def test_solver_preconditions():
