@@ -156,7 +156,7 @@ def _cmd_fit(args) -> int:
     mode = _parse_mode(args)
     method = _METHOD_NAMES[args.method]
     h = _resolve_bandwidth(args.bandwidth, sample, kernel)
-    est, report = fit(sample, h, kernel, method, mode, tol=args.tol, max_iter=args.max_iter)
+    est, report = fit(sample, h, kernel, method, mode, tol=args.tol)
     model = {
         "method": args.method,
         "kernel": args.kernel,
@@ -205,7 +205,7 @@ def _cmd_solve(args) -> int:
     mode = _parse_mode(args)
     h = _resolve_bandwidth(args.bandwidth, sample, kernel)
     method = _METHOD_NAMES[args.method]
-    report = solve_support(sample, h, kernel, method, mode, tol=args.tol, max_iter=args.max_iter)
+    report = solve_support(sample, h, kernel, method, mode, tol=args.tol)
     payload = {
         "method": args.method,
         "mode": args.mode,
@@ -238,7 +238,6 @@ _SIM_CONFIG_KEYS = {
     "n": lambda value: [int(v) for v in value.split()],
     "reps": int,
     "seed": int,
-    "nodes": int,
     "kernel": str,
     "bandwidth": str,
     "methods": str,
@@ -281,7 +280,6 @@ def _cmd_simulate(args) -> int:
     args.format = args.format or "csv"
     args.reps = 500 if args.reps is None else args.reps
     args.seed = 0 if args.seed is None else args.seed
-    args.nodes = 4001 if args.nodes is None else args.nodes
     if args.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {args.format!r}")
     kernel = get_kernel(args.kernel)
@@ -317,7 +315,6 @@ def _cmd_simulate(args) -> int:
             kernel=kernel,
             bandwidth=bandwidth,
             seed=args.seed,
-            quad_nodes=args.nodes,
         )
         result = run_experiment(spec)
         if args.format == "json":
@@ -400,7 +397,6 @@ def _build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit an estimator and persist the model as JSON")
     common(p_fit)
-    p_fit.add_argument("--max-iter", type=int, default=200, help="bisection iteration cap")
     p_fit.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
     p_fit.add_argument("--mode", default=None,
                        choices=["known", "proposed", "extremes", "half-known-lower", "half-known-upper"])
@@ -417,7 +413,6 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="estimate support endpoints; prints a JSON report")
     common(p_solve)
-    p_solve.add_argument("--max-iter", type=int, default=200, help="bisection iteration cap")
     p_solve.add_argument("--method", required=True, choices=["reflection", "boundary-kernel"])
     p_solve.add_argument("--mode", required=True,
                          choices=["proposed", "extremes", "half-known-lower", "half-known-upper"])
@@ -436,7 +431,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--bandwidth", default=None)
     p_sim.add_argument("--methods", default=None,
                        help="comma list from: " + ",".join(sorted(_METHOD_LABELS)))
-    p_sim.add_argument("--nodes", type=int, default=None, help="Simpson nodes for the ISE")
     p_sim.add_argument("--format", default=None, choices=["csv", "json"])
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(handler=_cmd_simulate)

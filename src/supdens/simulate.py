@@ -4,15 +4,19 @@ The experiment draws beta samples, selects one bandwidth per replication
 (shared by every compared method), fits each configured (method, mode) pair,
 and integrates the squared density error over the boundary region
 [u0 - h, U], where u0 is the true upper endpoint and U lies beyond every
-integrand's support.  Replication r of a run uses an independent generator
-seeded from (seed, n, r), so results are reproducible bit-for-bit and
-independent of execution order.
+integrand's support.  The integral is exact piece by piece: `boundary_ise`
+cuts the region where the fitted estimate jumps or kinks, so the naive and
+reflection integrands are polynomials on each piece and the boundary-kernel
+ones are smooth, and puts Gauss-Legendre nodes on each piece.  Replication r
+of a run uses an independent generator seeded from (seed, n, r), so results
+are reproducible bit-for-bit and independent of execution order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -21,7 +25,6 @@ from .bandwidth import lscv_bandwidth
 from .errors import ConfigError, DataError
 from .estimators import BOUNDARY_KERNEL, NAIVE, REFLECTION, FittedEstimator, Sample
 from .kernels import EPANECHNIKOV, KernelSpec
-from .quadrature import composite_simpson
 from .solver import SupportMode, fit
 
 __all__ = [
@@ -79,29 +82,104 @@ def _estimator_upper_end(est: FittedEstimator) -> float:
     return est.sample.max + reach * est.h
 
 
+#: Gauss-Legendre nodes on a piece where the squared error is a polynomial
+#: (exact to degree 7), and on a graded boundary-kernel edge piece, where it
+#: is rational with its pole at the endpoint at least one piece length away.
+_POLY_NODES = 4
+_EDGE_NODES = 16
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _pieces(est: FittedEstimator, u0: float, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, graded): the pieces of [u0 - h, U], and which are boundary-kernel edge pieces.
+
+    Cuts: u0, the finite support ends and the naive kinks X_i -+ r*h (r the
+    kernel's radius, 1 for the Gaussian); for reflection their mirror images
+    2e - X_i -+ r*h; for the boundary kernel the seams l + h, u - h and the
+    edge breakpoints (X_i + r*e)/(1 + r).  An edge piece scales by the
+    distance w to its endpoint e, so X_i -+ r*h are no kinks there and the
+    terms go like 1/w: cuts at e -+ h*2^-k, down to the nearest
+    observation's breakpoint (the estimate is 0 beyond it), keep w within a
+    factor 2 on each piece.  A uniform grid keeps every piece within h/2.
+    """
+    x, bw = est.sample.values, est.h
+    l, u = est.support.lower, est.support.upper
+    a, b = u0 - h, max(u0, _estimator_upper_end(est)) + 2.0 * h
+    r = est.kernel.support_radius
+    reach = r * bw if est.kernel.compact else bw
+    ends = [e for e in (l, u) if np.isfinite(e)]
+    kinks = np.concatenate([x - reach, x + reach])
+    cuts = [np.arange(a, b, 0.5 * bw), [b, u0], ends]
+    if est.method == BOUNDARY_KERNEL:
+        cuts.append(kinks[(kinks > l + bw) & (kinks < u - bw)])
+        for e, s in ((l, 1.0), (u, -1.0)):  # s points from e into the support
+            breaks = (x + r * e) / (1.0 + r)
+            cuts += [[e + s * bw], breaks[s * (breaks - e) < bw]]
+            inside = x[s * (x - e) > 0.0]
+            if inside.size:
+                stop = float(np.min(np.abs(inside - e))) / (1.0 + r)
+                step = 0.5 * bw
+                while step >= stop:
+                    cuts.append([e + s * step])
+                    step *= 0.5
+    else:
+        cuts.append(kinks)
+        if est.method == REFLECTION:
+            cuts += [2.0 * e - kinks for e in ends]
+    edges = np.unique(np.clip(np.concatenate(cuts), a, b))
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    graded = np.zeros(mid.shape, dtype=bool)
+    if est.method == BOUNDARY_KERNEL:
+        graded = ((mid > l) & (mid < l + bw)) | ((mid > u - bw) & (mid < u))
+    return lo, hi, graded
+
+
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, nodes: int) -> float:
+    """Sum over the pieces [lo, hi] of the `nodes`-point Gauss-Legendre integrals of f."""
+    t, w = _legendre_rule(nodes)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    fx = f((mid[:, None] + half[:, None] * t).ravel())
+    return float((fx.reshape(-1, t.size) @ w) @ half)
+
+
 def boundary_ise(
     est: FittedEstimator,
     truth: Callable[[np.ndarray], np.ndarray],
     u0: float,
     h: float,
-    nodes: int = 4001,
 ) -> float:
     """Integrated squared density error over the boundary region [u0 - h, U].
 
     U = max(u0, estimator's upper support end) + 2h, beyond which both the
-    estimate and the truth vanish.  Composite Simpson with `nodes` nodes.
+    estimate and the truth vanish.  The region is cut where the estimate
+    jumps or kinks (see `_pieces`), and each piece gets 4 Gauss-Legendre
+    nodes, or 16 on a graded boundary-kernel edge piece.
+
+    `truth` must be smooth on the region except at u0, as a beta density
+    is.  For integer beta shapes with p + q <= 5 and the Epanechnikov
+    kernel, the naive and reflection integrands are polynomials of degree
+    <= 6 on each piece, so the integral is exact up to rounding.  The
+    boundary kernel's agrees with 64 nodes on the same pieces to about
+    1e-11 relative, and with the Gaussian kernel naive and reflection agree
+    with 32 nodes on pieces of h/8 to about 1e-9 relative.
     """
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
-    if nodes <= 0:
-        raise ConfigError("node count must be positive")
-    upper = max(u0, _estimator_upper_end(est)) + 2.0 * h
+    lo, hi, graded = _pieces(est, u0, h)
 
-    def integrand(xs: np.ndarray) -> np.ndarray:
+    def sq_error(xs: np.ndarray) -> np.ndarray:
         d = est.pdf(xs) - np.asarray(truth(xs), dtype=float)
         return d * d
 
-    return composite_simpson(integrand, u0 - h, upper, nodes)
+    return _gauss_legendre(sq_error, lo[~graded], hi[~graded], _POLY_NODES) + _gauss_legendre(
+        sq_error, lo[graded], hi[graded], _EDGE_NODES
+    )
 
 
 @dataclass(frozen=True)
@@ -140,11 +218,12 @@ class ExperimentSpec:
     kernel: KernelSpec = EPANECHNIKOV
     bandwidth: float | str = "lscv"
     seed: int = 0
-    quad_nodes: int = 4001
 
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ConfigError("need at least one replication")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if any(n < 2 for n in self.ns):
             raise ConfigError("sample sizes must be at least 2")
         if self.p <= 0 or self.q <= 0:
@@ -243,7 +322,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 est, report = fit(sample, h, spec.kernel, ms.method, ms.mode)
                 if report is not None and (report.fallback_left or report.fallback_right):
                     fallbacks[k] += 1
-                ises[k, r] = boundary_ise(est, truth, 1.0, h, spec.quad_nodes)
+                ises[k, r] = boundary_ise(est, truth, 1.0, h)
         for k, ms in enumerate(spec.methods):
             row = ises[k]
             sem = float(np.std(row, ddof=1) / np.sqrt(spec.reps)) if spec.reps > 1 else 0.0

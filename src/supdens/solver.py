@@ -71,6 +71,9 @@ from .kernels import KernelSpec
 
 __all__ = ["SupportMode", "SolveReport", "solve_support", "fit"]
 
+# Bisection step cap.  A delta bisection runs on one binade [hi/2, hi] and
+# reaches adjacent floats within 53 steps; the cap bounds the boundary
+# kernel's data-coordinate first pass, whose NumericError hands over to it.
 MAX_BISECT = 200
 MAX_SWEEPS = 100
 MOVE_TOL = 1e-10
@@ -147,13 +150,13 @@ class SolveReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float, max_iter: int):
+def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float):
     """(root, g(root), iterations) of g = 0 between lo and hi (either order), g(lo) > 0 >= g(hi).
 
-    Stops at |g| < tol; raises NumericError after max_iter steps or at adjacent floats.
+    Stops at |g| < tol; raises NumericError after MAX_BISECT steps or at adjacent floats.
     """
     best = (np.inf, lo)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_BISECT + 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -222,8 +225,8 @@ def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int
 
 
 @np.errstate(over="ignore")  # s*z/delta overflows to -inf at tiny delta, where W is 0 as it should be
-def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, tol: float, max_iter: int,
-                s: int, other: float = np.nan):
+def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, tol: float, s: int,
+                other: float = np.nan):
     """(endpoint, residual, iterations, bracket, fallback) of side s, the other endpoint at `other`.
 
     An objective with a data-coordinate start (the boundary kernel) doubles the bracket [0, 1].
@@ -244,14 +247,13 @@ def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, tol: 
         # data coordinates first, which keep the endpoints of ordinary data bit for bit
         far = e + s * unit * hi
         try:
-            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far,
-                                 tol, max_iter)
+            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far, tol)
             return v, s * res, it, tuple(sorted((start, far))), False
         except NumericError:
             pass
     while 0.5 * hi > 0.0 and g(0.5 * hi) <= 0.0:
         hi *= 0.5
-    d, res, it = _bisect(g, 0.5 * hi, hi, tol, max_iter)
+    d, res, it = _bisect(g, 0.5 * hi, hi, tol)
     bracket = tuple(sorted((e + s * unit * 0.5 * hi, e + s * unit * hi)))
     return e + s * unit * d, s * res, it, bracket, False
 
@@ -266,7 +268,6 @@ def solve_support(
     method: str,
     mode: SupportMode,
     tol: float = 1e-10,
-    max_iter: int = MAX_BISECT,
 ) -> SolveReport:
     """Estimate support endpoints for the given correction method and mode.
 
@@ -293,8 +294,6 @@ def solve_support(
         raise ConfigError(f"bandwidth {h} exceeds half the sample range {(xn - x1) / 2.0}")
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
-    if max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
 
     objective = _bk_objective if method == BOUNDARY_KERNEL else _reflection_objective
     if mode.kind == "extremes":
@@ -314,7 +313,7 @@ def solve_support(
         # l <= X_(1) and u >= X_(n), because h <= (X_(n) - X_(1))/2 (checked
         # above), so one sweep solves both.
         for s in sides:
-            result[s] = _solve_side(objective, data, kernel, h, tol, max_iter, s, result[-s][0])
+            result[s] = _solve_side(objective, data, kernel, h, tol, s, result[-s][0])
         sweeps = int(method == REFLECTION)
     else:
         # reflection with the Gaussian: alternate one-dimensional solves until
@@ -322,7 +321,7 @@ def solve_support(
         for sweeps in range(1, MAX_SWEEPS + 1):
             moved = 0.0
             for s in sides:
-                new = _solve_side(objective, data, kernel, h, tol, max_iter, s, result[-s][0])
+                new = _solve_side(objective, data, kernel, h, tol, s, result[-s][0])
                 moved = max(moved, abs(new[0] - result[s][0]) / h)
                 result[s] = new
             if moved < MOVE_TOL:
@@ -353,7 +352,6 @@ def fit(
     method: str,
     mode: Optional[SupportMode] = None,
     tol: float = 1e-10,
-    max_iter: int = MAX_BISECT,
 ) -> Tuple[FittedEstimator, Optional[SolveReport]]:
     """Resolve the support (solving if needed) and build the fitted estimator.
 
@@ -373,7 +371,7 @@ def fit(
         support = SupportInterval(mode.lower, mode.upper)
         report = None
     else:
-        report = solve_support(sample, h, kernel, method, mode, tol=tol, max_iter=max_iter)
+        report = solve_support(sample, h, kernel, method, mode, tol=tol)
         support = SupportInterval(report.l_hat, report.u_hat)
     if method == REFLECTION:
         return fit_reflection(sample, h, kernel, support), report

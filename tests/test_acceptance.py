@@ -387,7 +387,7 @@ def test_criterion_8_determinism():
     s1 = sample_beta(2.0, 3.0, 64, SEED)
     s2 = sample_beta(2.0, 3.0, 64, SEED)
     samples_equal = np.array_equal(s1.values, s2.values)
-    spec = ExperimentSpec(p=1, q=1, ns=(25,), reps=3, seed=SEED, quad_nodes=501)
+    spec = ExperimentSpec(p=1, q=1, ns=(25,), reps=3, seed=SEED)
     r1 = run_experiment(spec)
     r2 = run_experiment(spec)
     tables_equal = r1.table_csv() == r2.table_csv()

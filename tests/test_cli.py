@@ -93,8 +93,7 @@ def test_eval_validates_the_model(tmp_path, capsys):
 def test_simulate_byte_identical(tmp_path):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"
-    args = ["simulate", "--dist", "beta:1,1", "--n", "25", "--reps", "4", "--seed", "7",
-            "--nodes", "501"]
+    args = ["simulate", "--dist", "beta:1,1", "--n", "25", "--reps", "4", "--seed", "7"]
     assert run_cli(args + ["--output", str(out1)]) == 0
     assert run_cli(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -108,13 +107,12 @@ def test_simulate_config_file_matches_flags(tmp_path, capsys):
         "n = 25\n"
         "reps = 4\n"
         "seed = 7\n"
-        "nodes = 501\n"
     )
     out1 = tmp_path / "c1.csv"
     out2 = tmp_path / "c2.csv"
     assert run_cli(["simulate", "--config", str(cfg), "--output", str(out1)]) == 0
     assert run_cli(["simulate", "--dist", "beta:1,1", "--n", "25", "--reps", "4",
-                    "--seed", "7", "--nodes", "501", "--output", str(out2)]) == 0
+                    "--seed", "7", "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     # flags override config values
     out3 = tmp_path / "c3.csv"
@@ -122,12 +120,12 @@ def test_simulate_config_file_matches_flags(tmp_path, capsys):
                     "--output", str(out3)]) == 0
     assert out3.read_bytes() != out1.read_bytes()
     # a config value is not parsed when its flag is set
-    cfg.write_text("dist = beta:1,1\nn = 25\nreps = four\nseed = 7\nnodes = 501\n")
+    cfg.write_text("dist = beta:1,1\nn = 25\nreps = four\nseed = 7\n")
     out4 = tmp_path / "c4.csv"
     assert run_cli(["simulate", "--config", str(cfg), "--reps", "4", "--output", str(out4)]) == 0
     assert out4.read_bytes() == out1.read_bytes()
-    # an unknown key and a bad value are data errors naming the line
-    for text in ("reps = 4\ncolour = red\n", "reps = 4\nseed = seven\n"):
+    # unknown keys, nodes among them, and a bad value are data errors naming the line
+    for text in ("reps = 4\ncolour = red\n", "reps = 4\nnodes = 501\n", "reps = 4\nseed = seven\n"):
         cfg.write_text(text)
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
         assert f"{cfg}:2:" in capsys.readouterr().err
@@ -146,7 +144,7 @@ def test_eval_json_records(data_file, tmp_path, capsys):
 
 def test_simulate_json_format(tmp_path, capsys):
     code = run_cli(["simulate", "--dist", "beta:3,1", "--n", "20", "--reps", "2",
-                    "--seed", "1", "--nodes", "501", "--format", "json"])
+                    "--seed", "1", "--format", "json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["distribution"] == "beta(3,1)"
@@ -184,6 +182,9 @@ def test_exit_codes(tmp_path, data_file, capsys):
     for command in ("fit", "solve"):
         assert run_cli([command, "--method", "reflection", "--mode", "half-known-upper", "--upper", "0.5",
                         "--bandwidth", "0.1", "--input", data_file]) == 2
+    # usage: a negative seed, and the removed Simpson node count
+    assert run_cli(["simulate", "--n", "20", "--reps", "1", "--seed", "-1"]) == 1
+    assert run_cli(["simulate", "--n", "20", "--reps", "1", "--nodes", "501"]) == 1
     capsys.readouterr()
 
 
@@ -198,11 +199,11 @@ def test_module_entry_point_runs_the_cli():
     assert "unrecognized arguments: --bogus" in proc.stderr
 
 
-def test_max_iter_is_a_fit_and_solve_option(data_file, data2d_file, capsys):
-    # the bisection cap reaches fit and solve; joint does not take it
+def test_max_iter_is_no_option(data_file, data2d_file, capsys):
+    # the bisection cap is a fixed constant of the solver, not a flag
     for command in ("fit", "solve"):
         assert run_cli([command, "--method", "boundary-kernel", "--mode", "proposed",
-                        "--bandwidth", "0.2", "--max-iter", "1", "--input", data_file]) == 3
+                        "--bandwidth", "0.2", "--max-iter", "1", "--input", data_file]) == 1
     assert run_cli(["joint", "--input", data2d_file, "--method", "reflection", "--mode", "proposed",
                     "--bandwidth", "0.15", "--grid", "0:1:4", "--max-iter", "1"]) == 1
     capsys.readouterr()

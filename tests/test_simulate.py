@@ -81,13 +81,20 @@ class TestBoundaryIse:
         s = Sample(rng.uniform(0, 1, 60))
         h = 0.1
         est = fit_naive(s, h, EPANECHNIKOV)
-        c, a, b = 0.3, 0.95, 1.05
+        # the jumps sit at u0 - h and u0, where the region is cut
+        c, a, b = 0.3, 1.0 - h, 1.0
 
         def truth(xs):
             return est.pdf(xs) - c * ((xs >= a) & (xs <= b))
 
-        ise = boundary_ise(est, truth, 1.0, h, nodes=40001)
-        assert ise == pytest.approx(c * c * (b - a), rel=1e-3)
+        ise = boundary_ise(est, truth, 1.0, h)
+        assert ise == pytest.approx(c * c * h, rel=1e-12)
+
+    def test_single_observation_closed_form(self):
+        # (9/(16h)) * integral of (1 - t^2)^2 over t = (x - 0.95)/h in [-1/2, 1]
+        est = fit_naive(Sample([0.95]), 0.1, EPANECHNIKOV)
+        ise = boundary_ise(est, lambda xs: xs * 0.0, 1.0, 0.1)
+        assert ise == pytest.approx(5.37890625, rel=1e-14)
 
     def test_region_covers_estimator_support(self):
         s = Sample([0.2, 0.6, 0.9])
@@ -98,16 +105,39 @@ class TestBoundaryIse:
         ise_wide = boundary_ise(est, lambda xs: np.asarray(beta_pdf(1, 1, xs)), 1.0, h)
         assert ise_wide > 0
 
-    def test_invalid_nodes(self):
-        s = Sample([0.2, 0.6])
-        est = fit_naive(s, 0.1, EPANECHNIKOV)
-        with pytest.raises(ConfigError):
-            boundary_ise(est, lambda xs: xs * 0, 1.0, 0.1, nodes=0)
+    @pytest.mark.parametrize(
+        "p, q, n, r, label, want",
+        [
+            (3, 1, 100, 201, "bk:proposed", 11.135461056),
+            (3, 1, 100, 201, "bk:extremes", 211.96195027),
+            (1, 1, 300, 481, "bk:extremes", 5.8950612306),
+            (1, 1, 300, 488, "bk:extremes", 0.28509480508),
+        ],
+    )
+    def test_boundary_kernel_near_pole_replications(self, p, q, n, r, label, want):
+        # criterion-5 replications (seed 7) whose top order statistics nearly
+        # tie, so the edge terms go like 1/(u - x) close to the endpoint
+        assert _table_replication_ise(p, q, n, r, label) == pytest.approx(want, rel=1e-8)
+
+    def test_worst_boundary_kernel_replication(self):
+        # beta(1,1), n = 300: r = 481 sets the bk:extremes maximum, not r = 488
+        assert _table_replication_ise(1, 1, 300, 481, "bk:extremes") > _table_replication_ise(
+            1, 1, 300, 488, "bk:extremes"
+        )
+
+
+def _table_replication_ise(p, q, n, r, label):
+    """Boundary ISE of one criterion-5 replication: seed (7, n, r), LSCV bandwidth."""
+    sample = sample_beta(p, q, n, (7, n, r))
+    h = lscv_bandwidth(sample, EPANECHNIKOV)
+    ms = {m.label: m for m in TABLE_METHODS}[label]
+    est, _ = fit(sample, h, EPANECHNIKOV, ms.method, ms.mode)
+    return boundary_ise(est, lambda xs: beta_pdf(p, q, xs), 1.0, h)
 
 
 class TestRunExperiment:
     def test_single_replication_deterministic(self):
-        spec = ExperimentSpec(p=1, q=1, ns=(30,), reps=1, seed=42, quad_nodes=801)
+        spec = ExperimentSpec(p=1, q=1, ns=(30,), reps=1, seed=42)
         r1 = run_experiment(spec)
         r2 = run_experiment(spec)
         assert r1.table_csv() == r2.table_csv()
@@ -117,15 +147,13 @@ class TestRunExperiment:
     def test_mean_ise_decreases_with_n(self):
         # stable methods at a desk scale; seed fixed
         methods = (MethodSpec("naive"), TABLE_METHODS[3], TABLE_METHODS[4])
-        spec = ExperimentSpec(p=1, q=1, ns=(50, 200), methods=methods, reps=150, seed=3,
-                              quad_nodes=2001)
+        spec = ExperimentSpec(p=1, q=1, ns=(50, 200), methods=methods, reps=150, seed=3)
         res = run_experiment(spec)
         for m in methods:
             assert res.cell(200, m.label).mean_ise < res.cell(50, m.label).mean_ise
 
     def test_split_halves_agree_within_3_sem(self):
-        base = dict(p=1.0, q=1.0, ns=(60,), methods=(MethodSpec("naive"),), reps=60,
-                    quad_nodes=1001)
+        base = dict(p=1.0, q=1.0, ns=(60,), methods=(MethodSpec("naive"),), reps=60)
         r1 = run_experiment(ExperimentSpec(seed=11, **base))
         r2 = run_experiment(ExperimentSpec(seed=12, **base))
         c1, c2 = r1.cells[0], r2.cells[0]
@@ -133,15 +161,14 @@ class TestRunExperiment:
         assert abs(c1.mean_ise - c2.mean_ise) <= 3.0 * combined
 
     def test_fixed_bandwidth_policy(self):
-        spec = ExperimentSpec(p=3, q=1, ns=(40,), reps=3, seed=1, bandwidth=0.15,
-                              quad_nodes=801)
+        spec = ExperimentSpec(p=3, q=1, ns=(40,), reps=3, seed=1, bandwidth=0.15)
         res = run_experiment(spec)
         assert all(c.mean_ise >= 0 for c in res.cells)
 
     def test_fallbacks_counted_and_kept(self):
         # tiny n with modest bandwidth: reflection solves fall back sometimes
         spec = ExperimentSpec(p=1, q=1, ns=(8,), methods=(TABLE_METHODS[3],), reps=40,
-                              seed=2, quad_nodes=801)
+                              seed=2)
         res = run_experiment(spec)
         cell = res.cells[0]
         assert cell.reps == 40
@@ -150,8 +177,7 @@ class TestRunExperiment:
     def test_cell_distribution_and_worst_replication(self):
         # every replication rebuilt from its (seed, n, r) seed reproduces the
         # cell's mean, median, maximum and the index of the worst one
-        spec = ExperimentSpec(p=3, q=1, ns=(40,), methods=TABLE_METHODS[:3], reps=7, seed=5,
-                              quad_nodes=801)
+        spec = ExperimentSpec(p=3, q=1, ns=(40,), methods=TABLE_METHODS[:3], reps=7, seed=5)
         res = run_experiment(spec)
         truth = lambda xs: beta_pdf(3, 1, xs)
         rows = np.zeros((len(spec.methods), spec.reps))
@@ -160,7 +186,7 @@ class TestRunExperiment:
             h = lscv_bandwidth(sample, EPANECHNIKOV)
             for k, ms in enumerate(spec.methods):
                 est, _ = fit(sample, h, EPANECHNIKOV, ms.method, ms.mode)
-                rows[k, r] = boundary_ise(est, truth, 1.0, h, spec.quad_nodes)
+                rows[k, r] = boundary_ise(est, truth, 1.0, h)
         for k, ms in enumerate(spec.methods):
             cell = res.cell(40, ms.label)
             assert cell.mean_ise == np.mean(rows[k])
@@ -171,7 +197,7 @@ class TestRunExperiment:
         assert {"median_ise", "max_ise", "worst_rep"} <= set(detail)
 
     def test_table_csv_shape(self):
-        spec = ExperimentSpec(p=1, q=1, ns=(20, 30), reps=2, seed=0, quad_nodes=501)
+        spec = ExperimentSpec(p=1, q=1, ns=(20, 30), reps=2, seed=0)
         res = run_experiment(spec)
         lines = res.table_csv().strip().split("\n")
         assert lines[0] == "distribution,n," + ",".join(m.label for m in TABLE_METHODS)
@@ -185,3 +211,5 @@ class TestRunExperiment:
             ExperimentSpec(bandwidth="plugin")
         with pytest.raises(ConfigError):
             ExperimentSpec(ns=(1,))
+        with pytest.raises(ConfigError):
+            ExperimentSpec(seed=-1)
