@@ -18,9 +18,6 @@ from .estimators import (
     Sample,
     SupportInterval,
     evaluate_grid,
-    fit_boundary_kernel,
-    fit_naive,
-    fit_reflection,
 )
 from .joint import JointEstimator, MultiSample, fit_joint, joint_cdf, joint_pdf
 from .kernels import EPANECHNIKOV, GAUSSIAN, KernelSpec, eval_K, eval_W, get_kernel
@@ -54,9 +51,6 @@ __all__ = [
     "Sample",
     "SupportInterval",
     "evaluate_grid",
-    "fit_boundary_kernel",
-    "fit_naive",
-    "fit_reflection",
     "JointEstimator",
     "MultiSample",
     "fit_joint",

@@ -22,7 +22,9 @@ from .estimators import (
     BOUNDARY_KERNEL,
     NAIVE,
     REFLECTION,
+    FittedEstimator,
     Sample,
+    SupportInterval,
     evaluate_grid,
 )
 from .joint import MultiSample, fit_joint
@@ -123,16 +125,24 @@ def _parse_mode(args) -> Optional[SupportMode]:
     return SupportMode.half_known_upper(args.upper)
 
 
-def _resolve_bandwidth(policy: str, sample: Sample, kernel) -> float:
+def _parse_bandwidth(policy: str, d: int = 1):
+    """--bandwidth for d coordinates: "lscv", or d positive floats (one value is shared)."""
     if policy == "lscv":
-        return lscv_bandwidth(sample, kernel)
+        return policy
     try:
-        h = float(policy)
+        hs = [float(v) for v in policy.split(",")]
     except ValueError:
-        raise UsageError(f"--bandwidth must be 'lscv' or a number, got {policy!r}") from None
-    if h <= 0:
+        raise UsageError(f"--bandwidth must be 'lscv' or numbers, got {policy!r}") from None
+    if len(hs) not in (1, d):
+        raise UsageError(f"--bandwidth needs one value or one per coordinate ({d}), got {policy!r}")
+    if not all(h > 0 for h in hs):
         raise UsageError("--bandwidth must be positive")
-    return h
+    return hs * (d // len(hs))
+
+
+def _sample_bandwidth(policy: str, sample: Sample, kernel) -> float:
+    h = _parse_bandwidth(policy)
+    return lscv_bandwidth(sample, kernel) if h == "lscv" else h[0]
 
 
 def _fmt(v: float) -> str:
@@ -155,8 +165,8 @@ def _cmd_fit(args) -> int:
     sample = Sample(data[:, 0])
     mode = _parse_mode(args)
     method = _METHOD_NAMES[args.method]
-    h = _resolve_bandwidth(args.bandwidth, sample, kernel)
-    est, report = fit(sample, h, kernel, method, mode, tol=args.tol)
+    h = _sample_bandwidth(args.bandwidth, sample, kernel)
+    est, report = fit(sample, h, kernel, method, mode)
     model = {
         "method": args.method,
         "kernel": args.kernel,
@@ -182,12 +192,11 @@ def _cmd_eval(args) -> int:
         method = _METHOD_NAMES[model["method"]]
         sample = Sample(model["sample"])
         h = float(model["bandwidth"])
-        lower, upper = float(model["support"]["lower"]), float(model["support"]["upper"])
-    except (KeyError, TypeError) as exc:
+        support = SupportInterval(float(model["support"]["lower"]), float(model["support"]["upper"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.model}: malformed model: {exc}") from exc
-    # build the estimator through fit, so that a model edited by hand meets fit's checks
-    mode = None if method == NAIVE else SupportMode.known(lower, upper)
-    est, _ = fit(sample, h, kernel, method, mode)
+    # the estimator checks itself, so a model edited by hand into an invalid one fails here
+    est = FittedEstimator(method, sample, h, support, kernel)
     grid = _parse_grid(args.grid)
     rows = evaluate_grid(est, grid)
     if args.format == "json":
@@ -203,9 +212,9 @@ def _cmd_solve(args) -> int:
     data = _read_csv(args.input, columns=1)
     sample = Sample(data[:, 0])
     mode = _parse_mode(args)
-    h = _resolve_bandwidth(args.bandwidth, sample, kernel)
+    h = _sample_bandwidth(args.bandwidth, sample, kernel)
     method = _METHOD_NAMES[args.method]
-    report = solve_support(sample, h, kernel, method, mode, tol=args.tol)
+    report = solve_support(sample, h, kernel, method, mode)
     payload = {
         "method": args.method,
         "mode": args.mode,
@@ -295,12 +304,7 @@ def _cmd_simulate(args) -> int:
                 )
             methods.append(_METHOD_LABELS[label])
         methods = tuple(methods)
-    bandwidth: float | str = args.bandwidth
-    if bandwidth != "lscv":
-        try:
-            bandwidth = float(bandwidth)
-        except ValueError:
-            raise UsageError(f"--bandwidth must be 'lscv' or a number, got {bandwidth!r}") from None
+    hs = _parse_bandwidth(args.bandwidth)
     dists = args.dist or ["beta:1,1"]
     ns = tuple(args.n or [50, 100, 300])
     chunks = []
@@ -313,7 +317,7 @@ def _cmd_simulate(args) -> int:
             methods=methods,
             reps=args.reps,
             kernel=kernel,
-            bandwidth=bandwidth,
+            bandwidth=hs if hs == "lscv" else hs[0],
             seed=args.seed,
         )
         result = run_experiment(spec)
@@ -339,19 +343,10 @@ def _cmd_joint(args) -> int:
     d = data.d
     mode = _parse_mode(args)
     method = _METHOD_NAMES[args.method]
-    if args.bandwidth == "lscv":
+    hs = _parse_bandwidth(args.bandwidth, d)
+    if hs == "lscv":
         hs = [lscv_bandwidth(data.coordinate(j), kernel) for j in range(d)]
-    else:
-        parts = args.bandwidth.split(",")
-        if len(parts) not in (1, d):
-            raise UsageError(f"--bandwidth needs 1 or {d} comma-separated values")
-        try:
-            hs = [float(s) for s in parts]
-        except ValueError:
-            raise UsageError(f"--bandwidth must be 'lscv' or numbers, got {args.bandwidth!r}") from None
-        if len(hs) == 1:
-            hs = hs * d
-    est = fit_joint(data, hs, kernel, method, mode, tol=args.tol)
+    est = fit_joint(data, hs, kernel, method, mode)
     grid_specs = args.grid.split(";")
     if len(grid_specs) == 1:
         axes = [_parse_grid(grid_specs[0]) for _ in range(d)]
@@ -392,7 +387,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--input", required=True, help="headerless CSV of observations")
         p.add_argument("--kernel", default="epanechnikov", choices=["epanechnikov", "gaussian"])
         p.add_argument("--bandwidth", default="lscv", help="'lscv' or a positive number")
-        p.add_argument("--tol", type=float, default=1e-10, help="solver residual tolerance")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p_fit = sub.add_parser("fit", help="fit an estimator and persist the model as JSON")

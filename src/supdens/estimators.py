@@ -30,12 +30,14 @@ boundary_kernel
     It has bona fide jumps at the seams l+h and u-h (the CDF is continuous
     but only piecewise C^1 there).
 
-Every estimator is a frozen dataclass; evaluation is pure and thread-safe.
-The per-observation term functions (`cdf_terms`, `pdf_terms`) return the
-(m, n) matrices whose row means are cdf/pdf values, filled in blocks of
-`BLOCK_ROWS` points; the multivariate product-form estimator combines them
-across coordinates.  `pdf`, `cdf` and `evaluate_grid` take the row means of
-one chunk of about 2^20 terms at a time, so they never hold the whole matrix.
+Every estimator is one frozen dataclass, `FittedEstimator`, which checks
+its method, bandwidth, support and kernel when it is built; evaluation is
+pure and thread-safe.  The per-observation term functions (`cdf_terms`,
+`pdf_terms`) return the (m, n) matrices whose row means are cdf/pdf values,
+filled in blocks of `BLOCK_ROWS` points.  `pdf`, `cdf`, `evaluate_grid` and
+the multivariate product-form estimator all reduce through `_row_means`,
+which takes the row means of one chunk of about 2^20 terms at a time, so no
+caller holds the whole matrix.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ __all__ = [
     "Sample",
     "SupportInterval",
     "FittedEstimator",
-    "fit_naive",
-    "fit_reflection",
-    "fit_boundary_kernel",
     "evaluate_grid",
     "cdf_terms",
     "pdf_terms",
@@ -123,24 +122,14 @@ def _check_contains(sample: Sample, lower: float, upper: float) -> None:
         )
 
 
-def _check_corrected(sample: Sample, h: float, support: SupportInterval) -> None:
-    if h <= 0:
-        raise ConfigError("bandwidth must be positive")
-    if not support.bounded:
-        raise ConfigError("boundary-corrected estimators need a bounded support")
-    _check_contains(sample, support.lower, support.upper)
-    if h > support.length / 2.0:
-        raise ConfigError(
-            f"bandwidth {h} exceeds half the support length {support.length / 2.0}; "
-            "boundary regions would overlap"
-        )
-
-
 @dataclass(frozen=True)
 class FittedEstimator:
     """A fitted kernel estimator: method + sample + bandwidth + support + kernel.
 
-    Immutable; pdf/cdf evaluation is safe from any number of threads.
+    The naive method takes the support (-inf, inf).  The corrected methods take
+    a bounded support containing the sample, at least 2h long; the boundary
+    kernel also needs a compact kernel.  Immutable; pdf/cdf evaluation is safe
+    from any number of threads.
     """
 
     method: str
@@ -149,36 +138,35 @@ class FittedEstimator:
     support: SupportInterval
     kernel: KernelSpec
 
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}")
+        if self.method == BOUNDARY_KERNEL and not self.kernel.compact:
+            raise ConfigError("the boundary-kernel method requires a compact kernel")
+        if not self.h > 0:  # NaN too
+            raise ConfigError("bandwidth must be positive")
+        object.__setattr__(self, "h", float(self.h))
+        support = self.support
+        if self.method == NAIVE:
+            if support.lower != -np.inf or support.upper != np.inf:
+                raise ConfigError(f"the naive method needs the support (-inf, inf), got {support}")
+            return
+        if not support.bounded:
+            raise ConfigError("boundary-corrected estimators need a bounded support")
+        _check_contains(self.sample, support.lower, support.upper)
+        if self.h > support.length / 2.0:
+            raise ConfigError(
+                f"bandwidth {self.h} exceeds half the support length {support.length / 2.0}; "
+                "boundary regions would overlap"
+            )
+
     def pdf(self, x) -> float | np.ndarray:
-        out = _row_means(pdf_terms, self, x)
+        out = _term_means(pdf_terms, self, x)
         return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     def cdf(self, x) -> float | np.ndarray:
-        out = _row_means(cdf_terms, self, x)
+        out = _term_means(cdf_terms, self, x)
         return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def fit_naive(sample: Sample, h: float, kernel: KernelSpec) -> FittedEstimator:
-    """Plain kernel density/CDF estimator on an unbounded support."""
-    if h <= 0:
-        raise ConfigError("bandwidth must be positive")
-    return FittedEstimator(NAIVE, sample, float(h), SupportInterval(-np.inf, np.inf), kernel)
-
-
-def fit_reflection(sample: Sample, h: float, kernel: KernelSpec, support: SupportInterval) -> FittedEstimator:
-    """Reflection-corrected estimator on a bounded support containing the sample."""
-    _check_corrected(sample, h, support)
-    return FittedEstimator(REFLECTION, sample, float(h), support, kernel)
-
-
-def fit_boundary_kernel(
-    sample: Sample, h: float, kernel: KernelSpec, support: SupportInterval
-) -> FittedEstimator:
-    """Boundary-kernel-corrected estimator; requires a compact kernel."""
-    if not kernel.compact:
-        raise ConfigError("the boundary-kernel method requires a compact kernel")
-    _check_corrected(sample, h, support)
-    return FittedEstimator(BOUNDARY_KERNEL, sample, float(h), support, kernel)
 
 
 def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
@@ -188,8 +176,8 @@ def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
         return np.empty((0, 3))
     out = np.empty((xs.size, 3))
     out[:, 0] = xs
-    out[:, 1] = _row_means(pdf_terms, est, xs)
-    out[:, 2] = _row_means(cdf_terms, est, xs)
+    out[:, 1] = _term_means(pdf_terms, est, xs)
+    out[:, 2] = _term_means(cdf_terms, est, xs)
     return out
 
 
@@ -222,8 +210,6 @@ def pdf_terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None = Non
 
 
 def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bool) -> np.ndarray:
-    if est.method not in METHODS:
-        raise ConfigError(f"unknown method {est.method!r}")
     xs = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(xs)):
         raise DataError("evaluation points must be finite")
@@ -235,27 +221,32 @@ def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bo
     return out
 
 
-#: Terms per chunk of rows that pdf, cdf and evaluate_grid reduce to row means.
-#: A chunk of 2^20 terms (8 MB) lets glibc's allocator keep the block
-#: temporaries in its heap.  With BLOCK_ROWS-row chunks it returned them to the
-#: system after each block: a 4001-point eval at n = 2000 took 46k page faults
-#: and 1.8x the time of one whole-matrix eval.
+#: Terms per chunk of rows that `_row_means` reduces at once.  A chunk of
+#: 2^20 terms (8 MB) lets glibc's allocator keep the block temporaries in its
+#: heap.  With BLOCK_ROWS-row chunks it returned them to the system after each
+#: block: a 4001-point eval at n = 2000 took 46k page faults and 1.8x the time
+#: of one whole-matrix eval.
 MEAN_CHUNK = 1 << 20
 
 
-def _row_means(terms, est: FittedEstimator, x) -> np.ndarray:
-    """Row means of terms(est, x), one chunk of MEAN_CHUNK terms at a time.
+def _row_means(block, m: int, n: int) -> np.ndarray:
+    """Row means of an (m, n) term matrix, one chunk of MEAN_CHUNK terms at a time.
 
-    Only one chunk of the (m, n) matrix exists at once, and each mean is the
-    whole matrix's row mean bit for bit.
+    block(rows) returns the matrix's rows for a slice of row indices.  Only one
+    chunk exists at once, and each mean is the whole matrix's row mean bit for bit.
     """
-    xs = np.asarray(x, dtype=float).ravel()
-    out = np.empty(xs.size)
-    step = max(BLOCK_ROWS, MEAN_CHUNK // est.sample.n)
-    for start in range(0, xs.size, step):
+    out = np.empty(m)
+    step = max(BLOCK_ROWS, MEAN_CHUNK // n)
+    for start in range(0, m, step):
         rows = slice(start, start + step)
-        out[rows] = terms(est, xs[rows]).mean(axis=1)
+        out[rows] = block(rows).mean(axis=1)
     return out
+
+
+def _term_means(terms, est: FittedEstimator, x) -> np.ndarray:
+    """Row means of terms(est, x): the estimator's values at the points x."""
+    xs = np.asarray(x, dtype=float).ravel()
+    return _row_means(lambda rows: terms(est, xs[rows]), xs.size, est.sample.n)
 
 
 def _fill_block(est: FittedEstimator, x: np.ndarray, data: np.ndarray, pdf: bool, out: np.ndarray) -> None:

@@ -13,6 +13,10 @@ per-observation CDF term saturates to exactly 1 at the coordinate's upper
 endpoint (and 0 below the lower one), sending all coordinates but one above
 their endpoints reproduces the remaining marginal exactly, and the joint CDF
 hits 1 at the estimated upper corner.
+
+Joint values at scattered points reduce through the univariate estimators'
+chunked row means (`estimators._row_means`): each chunk of rows is the
+per-observation product of the marginals' terms, so no (m, n) matrix is held.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .estimators import BOUNDARY_KERNEL, REFLECTION, FittedEstimator, Sample, cdf_terms, pdf_terms
+from .estimators import BOUNDARY_KERNEL, REFLECTION, FittedEstimator, Sample, _row_means, cdf_terms, pdf_terms
 from .kernels import KernelSpec
 from .solver import SolveReport, SupportMode, fit as fit_univariate
 
@@ -82,20 +86,24 @@ class JointEstimator:
         return tuple((m.support.lower, m.support.upper) for m in self.marginals)
 
     def cdf(self, x) -> float | np.ndarray:
-        pts = _as_points(x, self.d)
-        prod = np.ones((pts.shape[0], self.data.n))
-        for j in range(self.d):
-            prod *= cdf_terms(self.marginals[j], pts[:, j], self.data.rows[:, j])
-        out = np.clip(prod.mean(axis=1), 0.0, 1.0)
-        return _match_shape(out, x)
+        return _match_shape(np.clip(self._means(cdf_terms, x), 0.0, 1.0), x)
 
     def pdf(self, x) -> float | np.ndarray:
+        return _match_shape(self._means(pdf_terms, x), x)
+
+    def _means(self, terms, x) -> np.ndarray:
+        """Row means of the per-observation products of the marginals' terms at the points x."""
         pts = _as_points(x, self.d)
-        prod = np.ones((pts.shape[0], self.data.n))
-        for j in range(self.d):
-            prod *= pdf_terms(self.marginals[j], pts[:, j], self.data.rows[:, j])
-        out = prod.mean(axis=1)
-        return _match_shape(out, x)
+        cols = self.data.rows
+
+        def block(rows):
+            # starting from the first factor, not from ones, is exact: 1.0 * t == t
+            out = terms(self.marginals[0], pts[rows, 0], cols[:, 0])
+            for j in range(1, self.d):
+                out *= terms(self.marginals[j], pts[rows, j], cols[:, j])
+            return out
+
+        return _row_means(block, pts.shape[0], self.data.n)
 
     def cdf_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Joint CDF on the tensor grid spanned by per-coordinate axes."""
@@ -147,7 +155,6 @@ def fit_joint(
     kernel: KernelSpec,
     method: str,
     mode: SupportMode | Sequence[SupportMode],
-    tol: float = 1e-10,
 ) -> JointEstimator:
     """Fit every coordinate by the univariate pipeline and combine them.
 
@@ -167,7 +174,7 @@ def fit_joint(
     marginals = []
     reports = []
     for j in range(data.d):
-        est, rep = fit_univariate(data.coordinate(j), float(hs[j]), kernel, method, modes[j], tol=tol)
+        est, rep = fit_univariate(data.coordinate(j), float(hs[j]), kernel, method, modes[j])
         marginals.append(est)
         reports.append(rep)
     return JointEstimator(data, tuple(marginals), tuple(reports))

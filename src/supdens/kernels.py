@@ -149,8 +149,5 @@ def eval_W(spec: KernelSpec, z) -> float | np.ndarray:
     arr = np.asarray(z, dtype=float)
     if np.any(np.isnan(arr)):
         raise DataError("eval_W requires non-NaN arguments")
-    if spec.compact:
-        out = spec.cdf(np.nan_to_num(arr, posinf=spec.support_radius, neginf=-spec.support_radius))
-    else:
-        out = spec.cdf(arr)
+    out = spec.cdf(arr)
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out

@@ -26,7 +26,7 @@ doubles until it holds it.  Bisection first runs in data coordinates from
 e + s*(|e|*1e-12 + 1e-300), where this solver always started it: the pdf
 jumps at l + h and u - h, and this keeps the endpoints of ordinary data bit
 for bit.  Only when that start lies past the root or the bisection cannot
-reach tol (data far from 0 relative to h, near-tied extremes) does the
+reach TOL (data far from 0 relative to h, near-tied extremes) does the
 delta bisection below take over.
 
 Reflection: Fhat(e) is the reflection CDF at z = 0 with h = 1 and the other
@@ -39,7 +39,7 @@ run until both endpoints move less than MOVE_TOL bandwidths, or raise
 NumericError after MAX_SWEEPS.
 
 In delta, the bracket's upper end is halved while the root lies lower, and
-bisection stops at |g| < tol, or raises NumericError once the bracket is two
+bisection stops at |g| < TOL, or raises NumericError once the bracket is two
 adjacent floats.  The residual is s * g at the solved delta, before the
 endpoint e + s*h*delta rounds to the data's spacing: on 1e9 + Beta with
 h = 0.05 the fitted estimator's own Fhat(e) - target reaches 6e-8 (1e-4 at
@@ -63,9 +63,6 @@ from .estimators import (
     SupportInterval,
     _check_contains,
     _reflection_terms,
-    fit_boundary_kernel,
-    fit_naive,
-    fit_reflection,
 )
 from .kernels import KernelSpec
 
@@ -77,6 +74,8 @@ __all__ = ["SupportMode", "SolveReport", "solve_support", "fit"]
 MAX_BISECT = 200
 MAX_SWEEPS = 100
 MOVE_TOL = 1e-10
+# Bisection stops once a side's residual |Fhat(e) - target| is below TOL.
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -150,10 +149,10 @@ class SolveReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float):
+def _bisect(g: Callable[[float], float], lo: float, hi: float):
     """(root, g(root), iterations) of g = 0 between lo and hi (either order), g(lo) > 0 >= g(hi).
 
-    Stops at |g| < tol; raises NumericError after MAX_BISECT steps or at adjacent floats.
+    Stops at |g| < TOL; raises NumericError after MAX_BISECT steps or at adjacent floats.
     """
     best = (np.inf, lo)
     for it in range(1, MAX_BISECT + 1):
@@ -161,12 +160,12 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float):
         if mid == lo or mid == hi:
             break
         gm = g(mid)
-        if abs(gm) < tol:
+        if abs(gm) < TOL:
             return mid, gm, it
         best = min(best, (abs(gm), mid))
         lo, hi = (mid, hi) if gm > 0.0 else (lo, mid)
     raise NumericError(
-        f"bisection did not reach tolerance {tol} in {it} iterations (best |residual| {best[0]:.3e} "
+        f"bisection did not reach tolerance {TOL} in {it} iterations (best |residual| {best[0]:.3e} "
         f"at {best[1]!r}, bracket [{min(lo, hi)!r}, {max(lo, hi)!r}])"
     )
 
@@ -225,8 +224,7 @@ def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int
 
 
 @np.errstate(over="ignore")  # s*z/delta overflows to -inf at tiny delta, where W is 0 as it should be
-def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, tol: float, s: int,
-                other: float = np.nan):
+def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float = np.nan):
     """(endpoint, residual, iterations, bracket, fallback) of side s, the other endpoint at `other`.
 
     An objective with a data-coordinate start (the boundary kernel) doubles the bracket [0, 1].
@@ -247,13 +245,13 @@ def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, tol: 
         # data coordinates first, which keep the endpoints of ordinary data bit for bit
         far = e + s * unit * hi
         try:
-            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far, tol)
+            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far)
             return v, s * res, it, tuple(sorted((start, far))), False
         except NumericError:
             pass
     while 0.5 * hi > 0.0 and g(0.5 * hi) <= 0.0:
         hi *= 0.5
-    d, res, it = _bisect(g, 0.5 * hi, hi, tol)
+    d, res, it = _bisect(g, 0.5 * hi, hi)
     bracket = tuple(sorted((e + s * unit * 0.5 * hi, e + s * unit * hi)))
     return e + s * unit * d, s * res, it, bracket, False
 
@@ -267,7 +265,6 @@ def solve_support(
     kernel: KernelSpec,
     method: str,
     mode: SupportMode,
-    tol: float = 1e-10,
 ) -> SolveReport:
     """Estimate support endpoints for the given correction method and mode.
 
@@ -292,8 +289,6 @@ def solve_support(
                     np.inf if mode.upper is None else mode.upper)
     if h > (xn - x1) / 2.0:
         raise ConfigError(f"bandwidth {h} exceeds half the sample range {(xn - x1) / 2.0}")
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
 
     objective = _bk_objective if method == BOUNDARY_KERNEL else _reflection_objective
     if mode.kind == "extremes":
@@ -313,7 +308,7 @@ def solve_support(
         # l <= X_(1) and u >= X_(n), because h <= (X_(n) - X_(1))/2 (checked
         # above), so one sweep solves both.
         for s in sides:
-            result[s] = _solve_side(objective, data, kernel, h, tol, s, result[-s][0])
+            result[s] = _solve_side(objective, data, kernel, h, s, result[-s][0])
         sweeps = int(method == REFLECTION)
     else:
         # reflection with the Gaussian: alternate one-dimensional solves until
@@ -321,7 +316,7 @@ def solve_support(
         for sweeps in range(1, MAX_SWEEPS + 1):
             moved = 0.0
             for s in sides:
-                new = _solve_side(objective, data, kernel, h, tol, s, result[-s][0])
+                new = _solve_side(objective, data, kernel, h, s, result[-s][0])
                 moved = max(moved, abs(new[0] - result[s][0]) / h)
                 result[s] = new
             if moved < MOVE_TOL:
@@ -351,7 +346,6 @@ def fit(
     kernel: KernelSpec,
     method: str,
     mode: Optional[SupportMode] = None,
-    tol: float = 1e-10,
 ) -> Tuple[FittedEstimator, Optional[SolveReport]]:
     """Resolve the support (solving if needed) and build the fitted estimator.
 
@@ -362,7 +356,7 @@ def fit(
     if method == NAIVE:
         if mode is not None:
             raise ConfigError("the naive method takes no support mode")
-        return fit_naive(sample, h, kernel), None
+        return FittedEstimator(NAIVE, sample, h, SupportInterval(-np.inf, np.inf), kernel), None
     if method not in (REFLECTION, BOUNDARY_KERNEL):
         raise ConfigError(f"unknown method {method!r}")
     if mode is None:
@@ -371,8 +365,6 @@ def fit(
         support = SupportInterval(mode.lower, mode.upper)
         report = None
     else:
-        report = solve_support(sample, h, kernel, method, mode, tol=tol)
+        report = solve_support(sample, h, kernel, method, mode)
         support = SupportInterval(report.l_hat, report.u_hat)
-    if method == REFLECTION:
-        return fit_reflection(sample, h, kernel, support), report
-    return fit_boundary_kernel(sample, h, kernel, support), report
+    return FittedEstimator(method, sample, h, support, kernel), report

@@ -15,14 +15,13 @@ from supdens import (
     EPANECHNIKOV,
     REFLECTION,
     ExperimentSpec,
+    FittedEstimator,
     MultiSample,
     Sample,
     SupportInterval,
     SupportMode,
     fit,
-    fit_boundary_kernel,
     fit_joint,
-    fit_reflection,
     joint_cdf,
     lscv_bandwidth,
     run_experiment,
@@ -70,7 +69,7 @@ def test_criterion_1_reflection_endpoint_exactness():
     worst_up = 0.0
     for _ in range(1000):
         sample, h, support = _random_config(rng)
-        est = fit_reflection(sample, h, EPANECHNIKOV, support)
+        est = FittedEstimator(REFLECTION, sample, h, support, EPANECHNIKOV)
         worst_low = max(worst_low, abs(est.cdf(support.lower)))
         worst_up = max(worst_up, abs(est.cdf(support.upper) - 1.0))
     elapsed = time.time() - t0
@@ -93,7 +92,7 @@ def test_criterion_2_bk_seams_and_derivative():
     step = 1e-6
     for _ in range(200):
         sample, h, support = _random_config(rng, n_max=60)
-        est = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
+        est = FittedEstimator(BOUNDARY_KERNEL, sample, h, support, EPANECHNIKOV)
         l, u = support.lower, support.upper
         for seam in (l + h, u - h):
             below = np.nextafter(seam, -np.inf)
@@ -146,8 +145,8 @@ def test_criterion_3_normalization():
             refl, _ = fit(sample, h, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
             bk, _ = fit(sample, h, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
         else:
-            refl = fit_reflection(sample, h, EPANECHNIKOV, support)
-            bk = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
+            refl = FittedEstimator(REFLECTION, sample, h, support, EPANECHNIKOV)
+            bk = FittedEstimator(BOUNDARY_KERNEL, sample, h, support, EPANECHNIKOV)
         lo, up = refl.support.lower, refl.support.upper
         total = composite_simpson(refl.pdf, lo, up, 2001)
         worst_refl = max(worst_refl, abs(total - 1.0))

@@ -78,7 +78,7 @@ def test_fit_eval_round_trip_bit_exact(data_file, tmp_path):
 
 
 def test_eval_validates_the_model(tmp_path, capsys):
-    # eval builds the estimator through fit, so a model edited by hand meets its checks
+    # the estimator checks itself, so a model edited by hand into an invalid one fails
     path = tmp_path / "model.json"
     model = {"method": "boundary-kernel", "kernel": "gaussian", "bandwidth": 5.0,
              "support": {"lower": 0.4, "upper": 1.0}, "solve_report": None, "sample": [0.2, 0.5, 0.8]}
@@ -88,6 +88,18 @@ def test_eval_validates_the_model(tmp_path, capsys):
     path.write_text(json.dumps(model))
     assert run_cli(["eval", "--model", str(path), "--grid", "0:1:3"]) == 2
     assert "not contained in support" in capsys.readouterr().err
+    # a naive model keeps the support (-inf, inf) that fit wrote
+    model.update(method="naive", support={"lower": 0.0, "upper": 1.0}, sample=[0.2, 0.5])
+    path.write_text(json.dumps(model))
+    assert run_cli(["eval", "--model", str(path), "--grid", "0:1:3"]) == 1
+    model.update(support={"lower": -np.inf, "upper": np.inf})
+    path.write_text(json.dumps(model))
+    assert run_cli(["eval", "--model", str(path), "--grid", "0:1:3"]) == 0
+    # a value that is not a number is a malformed model
+    model.update(bandwidth="wide")
+    path.write_text(json.dumps(model))
+    assert run_cli(["eval", "--model", str(path), "--grid", "0:1:3"]) == 2
+    assert "malformed model" in capsys.readouterr().err
 
 
 def test_simulate_byte_identical(tmp_path):
@@ -200,12 +212,34 @@ def test_module_entry_point_runs_the_cli():
 
 
 def test_max_iter_is_no_option(data_file, data2d_file, capsys):
-    # the bisection cap is a fixed constant of the solver, not a flag
-    for command in ("fit", "solve"):
-        assert run_cli([command, "--method", "boundary-kernel", "--mode", "proposed",
-                        "--bandwidth", "0.2", "--max-iter", "1", "--input", data_file]) == 1
-    assert run_cli(["joint", "--input", data2d_file, "--method", "reflection", "--mode", "proposed",
-                    "--bandwidth", "0.15", "--grid", "0:1:4", "--max-iter", "1"]) == 1
+    # the bisection cap and the residual tolerance are fixed constants of the solver, not flags
+    for flag in (["--max-iter", "1"], ["--tol", "1e-8"]):
+        for command in ("fit", "solve"):
+            assert run_cli([command, "--method", "boundary-kernel", "--mode", "proposed",
+                            "--bandwidth", "0.2", "--input", data_file] + flag) == 1
+        assert run_cli(["joint", "--input", data2d_file, "--method", "reflection", "--mode", "proposed",
+                        "--bandwidth", "0.15", "--grid", "0:1:4"] + flag) == 1
+    capsys.readouterr()
+
+
+def test_bandwidth_values(data_file, data2d_file, tmp_path, capsys):
+    # one parser for every subcommand: 'lscv', or one positive number per
+    # coordinate (a single number is shared); anything else exits 1
+    fit = ["fit", "--method", "reflection", "--mode", "proposed", "--input", data_file]
+    solve = ["solve", "--method", "reflection", "--mode", "proposed", "--input", data_file]
+    sim = ["simulate", "--n", "20", "--reps", "1", "--methods", "naive"]
+    joint = ["joint", "--input", data2d_file, "--method", "reflection", "--mode", "proposed", "--grid", "0:1:3"]
+    for argv in (fit, solve, sim, joint):
+        for bad in ("abc", "0", "-0.1", "nan", "0.1,0.2,0.3", "0.1,"):
+            assert run_cli(argv + ["--bandwidth", bad]) == 1, (argv[0], bad)
+        assert "--bandwidth" in capsys.readouterr().err
+        for good in ("lscv", "0.2"):
+            assert run_cli(argv + ["--bandwidth", good]) == 0, (argv[0], good)
+    for argv in (fit, solve, sim):
+        assert run_cli(argv + ["--bandwidth", "0.1,0.2"]) == 1
+    report = tmp_path / "report.json"
+    assert run_cli(joint + ["--bandwidth", "0.1,0.2", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["bandwidths"] == [0.1, 0.2]
     capsys.readouterr()
 
 

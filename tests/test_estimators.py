@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from supdens import (
+    BOUNDARY_KERNEL,
     EPANECHNIKOV,
     GAUSSIAN,
+    NAIVE,
+    REFLECTION,
     ConfigError,
     DataError,
+    FittedEstimator,
     Sample,
     SupportInterval,
     evaluate_grid,
-    fit_boundary_kernel,
-    fit_naive,
-    fit_reflection,
 )
 from supdens import estimators
 from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
 from supdens.quadrature import composite_simpson
+
+UNBOUNDED = SupportInterval(-np.inf, np.inf)
 
 
 def random_config(rng, method="reflection", n_max=80):
@@ -31,20 +34,21 @@ def random_config(rng, method="reflection", n_max=80):
 
 class TestNaive:
     def test_pointwise_examples(self):
-        est = fit_naive(Sample([0.0]), 1.0, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, Sample([0.0]), 1.0, UNBOUNDED, EPANECHNIKOV)
         assert est.pdf(0.0) == pytest.approx(0.75, abs=0)
         assert est.cdf(1.0) == 1.0
-        sym = fit_naive(Sample([-1.0, 1.0]), 1.0, EPANECHNIKOV)
+        sym = FittedEstimator(NAIVE, Sample([-1.0, 1.0]), 1.0, UNBOUNDED, EPANECHNIKOV)
         assert sym.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(ConfigError):
-            fit_naive(Sample([0.0, 1.0]), 0.0, EPANECHNIKOV)
+        for h in (0.0, np.nan):
+            with pytest.raises(ConfigError):
+                FittedEstimator(NAIVE, Sample([0.0, 1.0]), h, UNBOUNDED, EPANECHNIKOV)
 
 
 class TestReflection:
     def test_hand_evaluated_pdf(self):
-        est = fit_reflection(Sample([0.1]), 0.5, EPANECHNIKOV, SupportInterval(0.0, 1.0))
+        est = FittedEstimator(REFLECTION, Sample([0.1]), 0.5, SupportInterval(0.0, 1.0), EPANECHNIKOV)
         # (1/0.5) * [K(-0.2) + K(-3.8) + K(0.2)] = 2 * (0.72 + 0 + 0.72)
         assert est.pdf(0.0) == pytest.approx(2.88, rel=1e-14)
 
@@ -52,12 +56,12 @@ class TestReflection:
         rng = np.random.default_rng(7)
         for _ in range(150):
             sample, h, support = random_config(rng)
-            est = fit_reflection(sample, h, EPANECHNIKOV, support)
+            est = FittedEstimator(REFLECTION, sample, h, support, EPANECHNIKOV)
             assert est.cdf(support.lower) == 0.0
             assert abs(est.cdf(support.upper) - 1.0) < 1e-12
 
     def test_outside_support_clamped(self):
-        est = fit_reflection(Sample([0.4, 0.6]), 0.2, EPANECHNIKOV, SupportInterval(0.0, 1.0))
+        est = FittedEstimator(REFLECTION, Sample([0.4, 0.6]), 0.2, SupportInterval(0.0, 1.0), EPANECHNIKOV)
         assert est.pdf(-0.5) == 0.0
         assert est.pdf(1.5) == 0.0
         assert est.cdf(-0.5) == 0.0
@@ -67,23 +71,23 @@ class TestReflection:
         rng = np.random.default_rng(8)
         for _ in range(25):
             sample, h, support = random_config(rng)
-            est = fit_reflection(sample, h, EPANECHNIKOV, support)
+            est = FittedEstimator(REFLECTION, sample, h, support, EPANECHNIKOV)
             total = composite_simpson(est.pdf, support.lower, support.upper, 2001)
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_validation(self):
         s = Sample([0.2, 0.9])
         with pytest.raises(DataError):
-            fit_reflection(s, 0.1, EPANECHNIKOV, SupportInterval(0.3, 1.0))
+            FittedEstimator(REFLECTION, s, 0.1, SupportInterval(0.3, 1.0), EPANECHNIKOV)
         with pytest.raises(ConfigError):
-            fit_reflection(s, 0.6, EPANECHNIKOV, SupportInterval(0.0, 1.0))
+            FittedEstimator(REFLECTION, s, 0.6, SupportInterval(0.0, 1.0), EPANECHNIKOV)
         with pytest.raises(ConfigError):
-            fit_reflection(s, 0.1, EPANECHNIKOV, SupportInterval(0.0, np.inf))
+            FittedEstimator(REFLECTION, s, 0.1, SupportInterval(0.0, np.inf), EPANECHNIKOV)
 
 
 class TestBoundaryKernel:
     def test_right_piece_examples(self):
-        est = fit_boundary_kernel(Sample([0.95]), 0.2, EPANECHNIKOV, SupportInterval(0.0, 1.0))
+        est = FittedEstimator(BOUNDARY_KERNEL, Sample([0.95]), 0.2, SupportInterval(0.0, 1.0), EPANECHNIKOV)
         assert est.cdf(0.9) == pytest.approx(1.0 - 0.84375, rel=1e-12)
         assert est.pdf(0.9) == pytest.approx(2.8125, rel=1e-12)
         # derivative oracle: central difference of the cdf, step 1e-6
@@ -95,8 +99,8 @@ class TestBoundaryKernel:
         rng = np.random.default_rng(9)
         for _ in range(50):
             sample, h, support = random_config(rng)
-            est = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
-            naive = fit_naive(sample, h, EPANECHNIKOV)
+            est = FittedEstimator(BOUNDARY_KERNEL, sample, h, support, EPANECHNIKOV)
+            naive = FittedEstimator(NAIVE, sample, h, UNBOUNDED, EPANECHNIKOV)
             for seam in (support.lower + h, support.upper - h):
                 below = np.nextafter(seam, -np.inf)
                 assert abs(est.cdf(seam) - est.cdf(below)) < 1e-12
@@ -109,11 +113,11 @@ class TestBoundaryKernel:
         rng = np.random.default_rng(10)
         for _ in range(50):
             sample, h, support = random_config(rng)
-            est = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
+            est = FittedEstimator(BOUNDARY_KERNEL, sample, h, support, EPANECHNIKOV)
             assert est.cdf(support.upper) - est.cdf(support.lower) == 1.0
 
     def test_endpoint_evaluation_limits(self):
-        est = fit_boundary_kernel(Sample([0.4, 0.6]), 0.3, EPANECHNIKOV, SupportInterval(0.0, 1.0))
+        est = FittedEstimator(BOUNDARY_KERNEL, Sample([0.4, 0.6]), 0.3, SupportInterval(0.0, 1.0), EPANECHNIKOV)
         assert est.cdf(0.0) == 0.0
         assert est.cdf(1.0) == 1.0
         assert est.pdf(0.0) == 0.0
@@ -121,7 +125,40 @@ class TestBoundaryKernel:
 
     def test_requires_compact_kernel(self):
         with pytest.raises(ConfigError):
-            fit_boundary_kernel(Sample([0.4, 0.6]), 0.2, GAUSSIAN, SupportInterval(0.0, 1.0))
+            FittedEstimator(BOUNDARY_KERNEL, Sample([0.4, 0.6]), 0.2, SupportInterval(0.0, 1.0), GAUSSIAN)
+
+
+class TestConstruction:
+    """FittedEstimator checks its own fields, whoever builds it."""
+
+    def test_unknown_method(self):
+        with pytest.raises(ConfigError, match="unknown method"):
+            FittedEstimator("kde", Sample([0.2, 0.8]), 0.1, SupportInterval(0.0, 1.0), EPANECHNIKOV)
+
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
+    def test_naive_needs_the_whole_line(self, support):
+        with pytest.raises(ConfigError, match="naive"):
+            FittedEstimator(NAIVE, Sample([0.2, 0.8]), 0.1, SupportInterval(*support), EPANECHNIKOV)
+
+    def test_check_order(self):
+        # each call breaks its check and every later one: the first check raises
+        s, half_line = Sample([0.2, 0.9]), SupportInterval(0.5, np.inf)
+        with pytest.raises(ConfigError, match="compact"):
+            FittedEstimator(BOUNDARY_KERNEL, s, 0.0, half_line, GAUSSIAN)
+        for method in (REFLECTION, BOUNDARY_KERNEL):
+            with pytest.raises(ConfigError, match="positive"):
+                FittedEstimator(method, s, 0.0, half_line, EPANECHNIKOV)
+            with pytest.raises(ConfigError, match="bounded"):
+                FittedEstimator(method, s, 5.0, half_line, EPANECHNIKOV)
+            with pytest.raises(DataError, match="not contained"):
+                FittedEstimator(method, s, 5.0, SupportInterval(0.5, 1.0), EPANECHNIKOV)
+            with pytest.raises(ConfigError, match="half the support"):
+                FittedEstimator(method, s, 0.6, SupportInterval(0.0, 1.0), EPANECHNIKOV)
+
+    def test_bandwidth_stored_as_float(self):
+        for h, method, support in ((1, NAIVE, UNBOUNDED), (np.float32(0.25), REFLECTION, SupportInterval(0, 1))):
+            est = FittedEstimator(method, Sample([0.2, 0.8]), h, support, EPANECHNIKOV)
+            assert type(est.h) is float and est.h == float(h)
 
 
 @pytest.mark.parametrize("method", ["naive", "reflection", "boundary_kernel"])
@@ -129,12 +166,7 @@ def test_pdf_nonnegative_and_cdf_monotone(method):
     rng = np.random.default_rng(11)
     for _ in range(200):
         sample, h, support = random_config(rng, n_max=50)
-        if method == "naive":
-            est = fit_naive(sample, h, EPANECHNIKOV)
-        elif method == "reflection":
-            est = fit_reflection(sample, h, EPANECHNIKOV, support)
-        else:
-            est = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
+        est = FittedEstimator(method, sample, h, UNBOUNDED if method == NAIVE else support, EPANECHNIKOV)
         grid = np.linspace(support.lower - 0.5, support.upper + 0.5, 1001)
         pdf = est.pdf(grid)
         cdf = est.cdf(grid)
@@ -147,10 +179,7 @@ def test_cdf_pdf_consistency_simpson(method):
     rng = np.random.default_rng(12)
     for _ in range(20):
         sample, h, support = random_config(rng, n_max=60)
-        if method == "naive":
-            est = fit_naive(sample, h, EPANECHNIKOV)
-        else:
-            est = fit_reflection(sample, h, EPANECHNIKOV, support)
+        est = FittedEstimator(method, sample, h, UNBOUNDED if method == NAIVE else support, EPANECHNIKOV)
         a = rng.uniform(support.lower, support.lower + 0.3 * support.length)
         b = rng.uniform(support.upper - 0.3 * support.length, support.upper)
         quad = composite_simpson(est.pdf, a, b, 2001)
@@ -164,7 +193,7 @@ def test_bk_cdf_pdf_consistency_within_pieces():
     rng = np.random.default_rng(13)
     for _ in range(20):
         sample, h, support = random_config(rng, n_max=60)
-        est = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
+        est = FittedEstimator(BOUNDARY_KERNEL, sample, h, support, EPANECHNIKOV)
         l, u = support.lower, support.upper
         for a, b in [(l, l + h), (l + h, u - h), (u - h, u)]:
             # inset by one ulp so the seam nodes evaluate the piece being
@@ -184,9 +213,9 @@ def test_boundary_bias_ordering_at_endpoint():
     for r in range(reps):
         rng = np.random.default_rng(1000 + r)
         sample = Sample(rng.uniform(0, 1, n))
-        naive = fit_naive(sample, h, EPANECHNIKOV)
-        refl = fit_reflection(sample, h, EPANECHNIKOV, support)
-        bk = fit_boundary_kernel(sample, h, EPANECHNIKOV, support)
+        naive = FittedEstimator(NAIVE, sample, h, UNBOUNDED, EPANECHNIKOV)
+        refl = FittedEstimator(REFLECTION, sample, h, support, EPANECHNIKOV)
+        bk = FittedEstimator(BOUNDARY_KERNEL, sample, h, support, EPANECHNIKOV)
         acc["naive"].append(naive.pdf(1.0))
         acc["reflection"].append(refl.pdf(1.0))
         acc["bk_inner"].append(bk.pdf(1.0 - h / 2))
@@ -206,12 +235,7 @@ def test_boundary_bias_ordering_at_endpoint():
 def test_row_blocks_match_row_by_row_terms(method, kernel):
     rng = np.random.default_rng(14)
     sample, h, support = random_config(rng)
-    if method == "naive":
-        est = fit_naive(sample, h, kernel)
-    elif method == "reflection":
-        est = fit_reflection(sample, h, kernel, support)
-    else:
-        est = fit_boundary_kernel(sample, h, kernel, support)
+    est = FittedEstimator(method, sample, h, UNBOUNDED if method == NAIVE else support, kernel)
     l, u = support.lower, support.upper
     edges = [l, u, l + h, u - h, np.nextafter(l + h, l), np.nextafter(u - h, u)]
     xs = np.concatenate([edges, rng.uniform(l - 0.5, u + 0.5, BLOCK_ROWS + 37)])
@@ -235,11 +259,7 @@ def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatc
     l, u = -0.4, 1.3
     sample, h = Sample(rng.uniform(l + 0.01, u - 0.01, 700)), 0.21
     support = SupportInterval(l, u)
-    est = {
-        "naive": lambda: fit_naive(sample, h, kernel),
-        "reflection": lambda: fit_reflection(sample, h, kernel, support),
-        "boundary_kernel": lambda: fit_boundary_kernel(sample, h, kernel, support),
-    }[method]()
+    est = FittedEstimator(method, sample, h, UNBOUNDED if method == NAIVE else support, kernel)
     edges = [l, u, l + h, u - h, np.nextafter(l + h, l), np.nextafter(u - h, u)]
     xs = np.concatenate([edges, rng.uniform(l - 0.3, u + 0.3, BLOCK_ROWS + 43 - len(edges))])
     pdf, cdf = pdf_terms(est, xs).mean(axis=1), cdf_terms(est, xs).mean(axis=1)
@@ -253,11 +273,7 @@ def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatc
 @pytest.mark.parametrize("which", ["pdf", "cdf"])
 def test_nonfinite_points_rejected(method, which):
     sample, support = Sample([0.3, 0.5, 0.7]), SupportInterval(0.0, 1.0)
-    est = {
-        "naive": lambda: fit_naive(sample, 0.2, EPANECHNIKOV),
-        "reflection": lambda: fit_reflection(sample, 0.2, EPANECHNIKOV, support),
-        "boundary_kernel": lambda: fit_boundary_kernel(sample, 0.2, EPANECHNIKOV, support),
-    }[method]()
+    est = FittedEstimator(method, sample, 0.2, UNBOUNDED if method == NAIVE else support, EPANECHNIKOV)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DataError, match="finite"):
             getattr(est, which)(np.array([0.5, bad]))
@@ -265,23 +281,23 @@ def test_nonfinite_points_rejected(method, which):
 
 class TestEvaluateGrid:
     def test_empty(self):
-        est = fit_naive(Sample([0.0, 1.0]), 0.5, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, Sample([0.0, 1.0]), 0.5, UNBOUNDED, EPANECHNIKOV)
         assert evaluate_grid(est, []).shape == (0, 3)
 
     def test_reflection_endpoints(self):
-        est = fit_reflection(Sample([0.3, 0.7]), 0.2, EPANECHNIKOV, SupportInterval(0.0, 1.0))
+        est = FittedEstimator(REFLECTION, Sample([0.3, 0.7]), 0.2, SupportInterval(0.0, 1.0), EPANECHNIKOV)
         rows = evaluate_grid(est, [0.0, 1.0])
         assert rows[0, 2] == 0.0
         assert rows[1, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_point_matches_direct(self):
-        est = fit_naive(Sample([0.3, 0.7]), 0.2, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, Sample([0.3, 0.7]), 0.2, UNBOUNDED, EPANECHNIKOV)
         rows = evaluate_grid(est, [0.5])
         assert rows[0, 1] == est.pdf(0.5)
         assert rows[0, 2] == est.cdf(0.5)
 
     def test_rejects_nonfinite(self):
-        est = fit_naive(Sample([0.3, 0.7]), 0.2, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, Sample([0.3, 0.7]), 0.2, UNBOUNDED, EPANECHNIKOV)
         with pytest.raises(DataError):
             evaluate_grid(est, [0.0, np.inf])
 

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from supdens import (
     joint_cdf,
     joint_pdf,
 )
+from supdens import estimators
+from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
 from supdens.quadrature import simpson_weights
 
 
@@ -178,3 +183,51 @@ def test_nonfinite_points_rejected():
             evaluate(je, [0.5, np.nan])
     with pytest.raises(DataError, match="finite"):
         je.cdf_grid([np.linspace(0, 1, 3), np.array([0.5, np.inf])])
+
+
+@pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 1], ids=["default_chunk", "block_chunk"])
+def test_chunked_means_equal_product_matrix_means(method, d, chunk, monkeypatch):
+    # pdf and cdf reduce one chunk of rows at a time (with chunk = 1, one
+    # BLOCK_ROWS block); the values must be the row means of the whole
+    # per-observation product matrix, bit for bit
+    monkeypatch.setattr(estimators, "MEAN_CHUNK", chunk)
+    rng = np.random.default_rng(50 + d)
+    ms, h = MultiSample(beta_rows(rng, 300, d)), 0.13
+    je = fit_joint(ms, h, EPANECHNIKOV, method, SupportMode.proposed())
+    rect = np.array(je.rectangle)
+    corners = np.array(list(itertools.product(*je.rectangle)))
+    seams = []
+    for j, (l, u) in enumerate(je.rectangle):
+        for v in (l, u, l + h, u - h, np.nextafter(l + h, l), np.nextafter(u - h, u)):
+            point = rng.uniform(rect[:, 0], rect[:, 1])
+            point[j] = v
+            seams.append(point)
+    scattered = rng.uniform(rect[:, 0] - 0.2, rect[:, 1] + 0.2, (BLOCK_ROWS + 50, d))
+    xs = np.vstack([corners, seams, scattered])
+    for terms, evaluate, clip in ((pdf_terms, je.pdf, False), (cdf_terms, je.cdf, True)):
+        prod = np.ones((xs.shape[0], ms.n))
+        for j in range(d):
+            prod *= terms(je.marginals[j], xs[:, j], ms.rows[:, j])
+        want = np.clip(prod.mean(axis=1), 0.0, 1.0) if clip else prod.mean(axis=1)
+        assert np.array_equal(evaluate(xs), want)
+        assert evaluate(xs[3]) == want[3]
+
+
+@pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
+def test_point_evaluation_holds_no_full_matrix(method):
+    # at m = n = 2000 one (m, n) matrix is 32 MB; the chunked reduction
+    # holds a few chunks of at most 2^20 terms (8 MB) each
+    rng = np.random.default_rng(60)
+    ms = MultiSample(beta_rows(rng, 2000))
+    je = fit_joint(ms, 0.1, EPANECHNIKOV, method, SupportMode.known(0.0, 1.0))
+    xs = rng.uniform(-0.05, 1.05, (2000, 2))
+    for evaluate in (je.pdf, je.cdf):
+        tracemalloc.start()
+        try:
+            evaluate(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"{evaluate.__name__}: tracemalloc peak {peak / 1e6:.1f} MB"

@@ -26,6 +26,9 @@ def test_gaussian_values():
     assert eval_W(GAUSSIAN, 0.0) == pytest.approx(0.5, abs=1e-15)
     assert eval_W(GAUSSIAN, np.inf) == 1.0
     assert eval_W(GAUSSIAN, -np.inf) == 0.0
+    # the compact kernel's W clips +/-inf to exactly 1 and 0 as well
+    assert eval_W(EPANECHNIKOV, np.inf) == 1.0
+    assert eval_W(EPANECHNIKOV, -np.inf) == 0.0
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])

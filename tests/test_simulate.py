@@ -3,8 +3,11 @@ import pytest
 
 from supdens import (
     EPANECHNIKOV,
+    NAIVE,
+    REFLECTION,
     ConfigError,
     ExperimentSpec,
+    FittedEstimator,
     MethodSpec,
     Sample,
     SupportInterval,
@@ -12,12 +15,12 @@ from supdens import (
     beta_pdf,
     boundary_ise,
     fit,
-    fit_naive,
-    fit_reflection,
     lscv_bandwidth,
     run_experiment,
     sample_beta,
 )
+
+UNBOUNDED = SupportInterval(-np.inf, np.inf)
 
 
 class TestBetaPdf:
@@ -72,7 +75,7 @@ class TestBoundaryIse:
     def test_zero_when_est_equals_truth(self):
         rng = np.random.default_rng(50)
         s = Sample(rng.uniform(0, 1, 60))
-        est = fit_naive(s, 0.1, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, s, 0.1, UNBOUNDED, EPANECHNIKOV)
         ise = boundary_ise(est, lambda xs: est.pdf(xs), 1.0, 0.1)
         assert ise == pytest.approx(0.0, abs=1e-12)
 
@@ -80,7 +83,7 @@ class TestBoundaryIse:
         rng = np.random.default_rng(51)
         s = Sample(rng.uniform(0, 1, 60))
         h = 0.1
-        est = fit_naive(s, h, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, s, h, UNBOUNDED, EPANECHNIKOV)
         # the jumps sit at u0 - h and u0, where the region is cut
         c, a, b = 0.3, 1.0 - h, 1.0
 
@@ -92,14 +95,14 @@ class TestBoundaryIse:
 
     def test_single_observation_closed_form(self):
         # (9/(16h)) * integral of (1 - t^2)^2 over t = (x - 0.95)/h in [-1/2, 1]
-        est = fit_naive(Sample([0.95]), 0.1, EPANECHNIKOV)
+        est = FittedEstimator(NAIVE, Sample([0.95]), 0.1, UNBOUNDED, EPANECHNIKOV)
         ise = boundary_ise(est, lambda xs: xs * 0.0, 1.0, 0.1)
         assert ise == pytest.approx(5.37890625, rel=1e-14)
 
     def test_region_covers_estimator_support(self):
         s = Sample([0.2, 0.6, 0.9])
         h = 0.2
-        est = fit_reflection(s, h, EPANECHNIKOV, SupportInterval(0.0, 1.4))
+        est = FittedEstimator(REFLECTION, s, h, SupportInterval(0.0, 1.4), EPANECHNIKOV)
         # truth vanishing outside [0, 1]: everything the estimator puts beyond
         # must be charged
         ise_wide = boundary_ise(est, lambda xs: np.asarray(beta_pdf(1, 1, xs)), 1.0, h)

@@ -11,12 +11,12 @@ from supdens import (
     REFLECTION,
     ConfigError,
     DataError,
+    FittedEstimator,
     NumericError,
     Sample,
     SupportInterval,
     SupportMode,
     fit,
-    fit_boundary_kernel,
     solve_support,
 )
 from supdens import solver
@@ -76,7 +76,7 @@ class TestBoundaryKernelSolve:
         # The endpoint equations do not involve h.  The fitted cdf at X_(1)
         # reads the left equation once X_(1) lies in the boundary region
         # [l, l + h), which here (X_(1) - l-hat = 0.379) needs h = 0.4.
-        est = fit_boundary_kernel(s, 0.4, EPANECHNIKOV, SupportInterval(rep.l_hat, rep.u_hat))
+        est = FittedEstimator(BOUNDARY_KERNEL, s, 0.4, SupportInterval(rep.l_hat, rep.u_hat), EPANECHNIKOV)
         assert est.cdf(s.min) == pytest.approx(0.1, abs=1e-10)
 
     def test_root_matches_grid_scan_oracle(self):
