@@ -184,7 +184,7 @@ def _lscv(sample: Sample, kernel: KernelSpec, hs: np.ndarray) -> np.ndarray:
 
 def lscv_objective(sample: Sample, kernel: KernelSpec, h: float) -> float:
     """The LSCV criterion at one bandwidth (needs n >= 2 for leave-one-out)."""
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ConfigError("bandwidth must be positive")
     if sample.n < 2:
         raise ConfigError("the LSCV objective needs at least two observations")

@@ -38,6 +38,16 @@ filled in blocks of `BLOCK_ROWS` points.  `pdf`, `cdf`, `evaluate_grid` and
 the multivariate product-form estimator all reduce through `_row_means`,
 which takes the row means of one chunk of about 2^20 terms at a time, so no
 caller holds the whole matrix.
+
+For a compact kernel a term is saturated (K = 0, and W exactly 0 or 1)
+wherever |x - X_i| >= s(x) times the kernel's radius.  Blocks take the
+points in sorted order, and each piece of a term (the naive point x, each
+reflection mirror, each boundary-kernel scale) evaluates the kernel only on
+the sorted columns that `searchsorted` finds in reach of the block;
+every other column gets the saturated constant.  Evaluating m points then
+costs the kernel evaluations of the pairs in reach plus an O(m n) fill and
+row mean, and every term is bit for bit the one the kernel gives.  A
+non-compact kernel (Gaussian) evaluates every pair.
 """
 
 from __future__ import annotations
@@ -191,7 +201,9 @@ def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
 
 #: Rows of the (m, n) term matrix evaluated at once.  Each piece of a block is
 #: computed into a temporary of at most BLOCK_ROWS x n, so evaluating m points
-#: holds the output and a few block-sized temporaries, not m x n ones.
+#: holds the output and a few block-sized temporaries, not m x n ones.  Blocks
+#: take the points in sorted order, so for a compact kernel the columns a
+#: block must evaluate stay close to those of a single point.
 BLOCK_ROWS = 128
 
 
@@ -199,7 +211,8 @@ def cdf_terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None = Non
     """The (m, n) matrix of per-observation CDF terms at the points x.
 
     data defaults to the fitted sample; the joint estimator passes a raw
-    column so that the columns keep its observation order.
+    column, the sample in observation order, so that the columns keep that
+    order.
     """
     return _terms(est, x, data, pdf=False)
 
@@ -209,15 +222,35 @@ def pdf_terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None = Non
     return _terms(est, x, data, pdf=True)
 
 
+def _sorting(v: np.ndarray) -> np.ndarray | None:
+    """The stable argsort of v, or None when v is already sorted."""
+    return None if np.all(v[:-1] <= v[1:]) else np.argsort(v, kind="stable")
+
+
 def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bool) -> np.ndarray:
     xs = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(xs)):
         raise DataError("evaluation points must be finite")
-    data = est.sample.values if data is None else data
+    # cols[j] is the column of sorted observation j; windows need sorted data
+    cols = None
+    if data is None:
+        data = est.sample.values
+    elif est.kernel.compact:
+        cols = _sorting(data)
+        if cols is not None:
+            data = data[cols]
     out = np.empty((xs.size, data.size))
+    # unsorted points are filled in sorted order through one block buffer
+    rows = _sorting(xs)
+    if rows is not None:
+        xs = xs[rows]
+        buffer = np.empty((min(BLOCK_ROWS, xs.size), data.size))
     for start in range(0, xs.size, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        _fill_block(est, xs[rows], data, pdf, out[rows])
+        span = slice(start, start + BLOCK_ROWS)
+        block = out[span] if rows is None else buffer[: xs[span].size]
+        _fill_block(est, xs[span], data, cols, pdf, block)
+        if rows is not None:
+            out[rows[span]] = block
     return out
 
 
@@ -249,29 +282,105 @@ def _term_means(terms, est: FittedEstimator, x) -> np.ndarray:
     return _row_means(lambda rows: terms(est, xs[rows]), xs.size, est.sample.n)
 
 
-def _fill_block(est: FittedEstimator, x: np.ndarray, data: np.ndarray, pdf: bool, out: np.ndarray) -> None:
-    kernel, h = est.kernel, est.h
+def _fill_block(
+    est: FittedEstimator, x: np.ndarray, data: np.ndarray, cols: np.ndarray | None, pdf: bool, out: np.ndarray
+) -> None:
+    """Write the terms at the sorted points x into out, one row per point.
+
+    data is the sample, sorted for a compact kernel, and sorted observation
+    j belongs in column cols[j] of out (column j when cols is None).
+    """
+    kernel, h, n = est.kernel, est.h, data.size
+    if cols is not None:
+        out[:] = 0.0  # so that zero segments need no scattered write
+
+    def put(rows: slice, value, start: int = 0, stop: int = n) -> None:
+        # value is a float constant or an array of terms
+        constant = isinstance(value, float)
+        if cols is None or (constant and stop - start == n):
+            out[rows, start:stop] = value
+        elif not constant or value != 0.0:
+            out[rows, cols[start:stop]] = value
+
+    def evaluate(rows: slice, pieces, combine=lambda term: term(0)) -> None:
+        if np.size(pieces[0][0]):
+            for start, stop, term in _segments(kernel, pdf, data, pieces):
+                put(rows, combine(term), start, stop)
+
     if est.method == NAIVE:
-        out[:] = _scaled_terms(kernel, pdf, x[:, None], data, h)
+        evaluate(slice(None), [(x, h, 0.0)])
         return
     l, u = est.support.lower, est.support.upper
     # outside the support the pdf terms are 0 and the cdf terms 0 below, 1 above
-    out[:] = 0.0 if pdf else (x >= u)[:, None]
+    above = 0.0 if pdf else 1.0
     if est.method == REFLECTION:
-        rows = (x >= l) & (x <= u)
-        if rows.any():
-            out[rows] = _reflection_terms(kernel, pdf, x[rows, None], data, h, l, u)
+        inside = slice(x.searchsorted(l, "left"), x.searchsorted(u, "right"))
+        put(slice(0, inside.start), 0.0)
+        put(slice(inside.stop, None), above)
+        points = _reflection_points(pdf, x[inside], l, u)
+        evaluate(inside, [(p, h, 0.0) for p in points], lambda term: _reflection_sum(pdf, term))
         return
-    # boundary kernel: scale x - l, h and u - x on its three pieces; x == l and
-    # x == u keep the outside values, which are the limits of the adjacent
-    # pieces for observations strictly inside the support
+    # boundary kernel: scale x - l, h and u - x on (l, l+h), [l+h, u-h) and
+    # [u-h, u); x == l and x == u keep the outside values, which are the
+    # limits of the adjacent pieces for observations strictly inside the
+    # support.  Should rounding make the pieces overlap, the later one wins.
+    i0, i3 = x.searchsorted(l, "right"), x.searchsorted(u, "left")
+    i1, i2 = x.searchsorted([l + h, u - h], "left")
+    put(slice(0, min(i0, i2)), 0.0)
+    put(slice(i3, None), above)
     for rows, scale, slope in (
-        ((x > l) & (x < l + h), x - l, 1.0),
-        ((x >= l + h) & (x < u - h), np.full_like(x, h), 0.0),
-        ((x >= u - h) & (x < u), u - x, -1.0),
+        (slice(i0, min(i1, i2)), lambda v: v - l, 1.0),
+        (slice(i1, i2), lambda v: h, 0.0),
+        (slice(i2, i3), lambda v: u - v, -1.0),
     ):
-        if rows.any():
-            out[rows] = _scaled_terms(kernel, pdf, x[rows, None], data, scale[rows, None], slope)
+        evaluate(rows, [(x[rows], scale(x[rows]), slope)])
+
+
+def _segments(kernel: KernelSpec, pdf: bool, data: np.ndarray, pieces):
+    """Yield (start, stop, term) over runs of columns that cover all n.
+
+    pieces are (p, scale, slope) triples, p and scale scalars or one value
+    per row; term(k) is piece k's `_scaled_terms` on the columns
+    [start, stop), computed when asked for.  A compact kernel is evaluated
+    only inside each piece's window (see `_window`); elsewhere a piece's
+    terms are the constants the kernel saturates to, 0 for the pdf and 1 or
+    0 for the cdf.
+    """
+    n = data.size
+    if kernel.compact:
+        spans = [_window(data, p, scale, kernel.support_radius) for p, scale, _ in pieces]
+    else:
+        spans = [(0, n)] * len(pieces)
+    cuts = sorted({0, n}.union(*spans))
+    for start, stop in zip(cuts, cuts[1:]):
+
+        def term(k: int, start=start, stop=stop):
+            (p, scale, slope), (a, b) = pieces[k], spans[k]
+            if a <= start and stop <= b:
+                return _scaled_terms(kernel, pdf, _column(p), data[start:stop], _column(scale), slope)
+            return 0.0 if pdf or start >= b else 1.0
+
+        yield start, stop, term
+
+
+def _column(v):
+    return v[:, None] if isinstance(v, np.ndarray) else v
+
+
+def _window(data: np.ndarray, p, scale, radius: float) -> tuple:
+    """Columns [a, b) of the sorted data outside which z = (p - X_j)/scale saturates.
+
+    For every row and j < a, z >= radius, so K(z) = 0 and W(z) = 1 exactly;
+    for j >= b, z <= -radius, so K(z) = 0 and W(z) = 0.  Proof: the
+    threshold below p - reach (reach >= radius*scale) is strictly less than
+    the exact p - reach, so X_j at or below it makes p - X_j > reach, and
+    rounding the difference and the quotient keeps z >= radius.  The upper
+    side is the mirror image.
+    """
+    reach = np.nextafter(radius * scale, np.inf)
+    a = data.searchsorted(np.nextafter(p - reach, -np.inf), "right")
+    b = data.searchsorted(np.nextafter(p + reach, np.inf), "left")
+    return int(a.min()), int(b.max())
 
 
 def _scaled_terms(
@@ -286,21 +395,37 @@ def _scaled_terms(
         return kernel.cdf(z)
     k = kernel.pdf(z)
     if slope:
-        k = k * (1.0 - slope * z)
+        # K(z) = 0 beyond the (finite) radius, where z may be infinite near an
+        # endpoint; clipping z there keeps 0 * inf from making NaN
+        r = kernel.support_radius
+        k = k * (1.0 - slope * np.clip(z, -r, r))
     return k / scale
+
+
+def _reflection_points(pdf: bool, x, l: float, u: float) -> tuple:
+    """The points whose naive terms `_reflection_sum` combines: x, 2l - x, (2u - l,) 2u - x."""
+    if pdf:
+        return x, 2.0 * l - x, 2.0 * u - x
+    return x, 2.0 * l - x, 2.0 * u - l, 2.0 * u - x
+
+
+def _reflection_sum(pdf: bool, term) -> np.ndarray:
+    """Reflection terms from term(k), the naive terms at the k-th of `_reflection_points`.
+
+    The terms are asked for in the order they are summed, so at most two
+    are held at once.
+    """
+    if pdf:
+        return term(0) + term(1) + term(2)
+    # Grouping (W(x) - W(2l - x)) + (W(2u - l) - W(2u - x)) per observation
+    # cancels bitwise at x = l (fl(2l - l) == l, and 2u - l is shared) and
+    # saturates to exactly 1 at x = u for a compact kernel with h <= u - l.
+    return (term(0) - term(1)) + (term(2) - term(3))
 
 
 def _reflection_terms(
     kernel: KernelSpec, pdf: bool, x, data: np.ndarray, h: float, l: float, u: float
 ) -> np.ndarray:
-    """Reflection terms for x in [l, u]: naive terms at x and its mirrors 2l - x, 2u - x."""
-
-    def naive(p):
-        return _scaled_terms(kernel, pdf, p, data, h)
-
-    if pdf:
-        return naive(x) + naive(2.0 * l - x) + naive(2.0 * u - x)
-    # Grouping (W(x) - W(2l - x)) + (W(2u - l) - W(2u - x)) per observation
-    # cancels bitwise at x = l (fl(2l - l) == l, and 2u - l is shared) and
-    # saturates to exactly 1 at x = u for a compact kernel with h <= u - l.
-    return (naive(x) - naive(2.0 * l - x)) + (naive(2.0 * u - l) - naive(2.0 * u - x))
+    """Reflection terms for x in [l, u], evaluated on every column: naive terms at x and its mirrors."""
+    points = _reflection_points(pdf, x, l, u)
+    return _reflection_sum(pdf, lambda k: _scaled_terms(kernel, pdf, points[k], data, h))

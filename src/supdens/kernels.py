@@ -85,8 +85,10 @@ class KernelSpec:
     """A symmetric kernel: name, density K, integral W, support radius, K*K.
 
     ``support_radius`` is the half-width of supp(K); ``np.inf`` for the
-    Gaussian.  ``convolution`` is always set: the closed-form K*K that
-    least-squares cross-validation sums.  ``polynomial``, when set, holds the
+    Gaussian.  A compact kernel must return exactly K = 0 and W = 0 or 1 at
+    |z| >= support_radius: the estimators write those values without
+    evaluating the kernel there.  ``convolution`` is always set: the
+    closed-form K*K that least-squares cross-validation sums.  ``polynomial``, when set, holds the
     coefficients in |t|, lowest degree first, of K on |t| <= support_radius
     and of K*K on |t| <= 2 * support_radius; the Gaussian has none.
     """

@@ -169,7 +169,7 @@ def boundary_ise(
     1e-11 relative, and with the Gaussian kernel naive and reflection agree
     with 32 nodes on pieces of h/8 to about 1e-9 relative.
     """
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ConfigError("bandwidth must be positive")
     lo, hi, graded = _pieces(est, u0, h)
 
@@ -231,7 +231,7 @@ class ExperimentSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "lscv":
                 raise ConfigError(f"bandwidth policy must be 'lscv' or a number, got {self.bandwidth!r}")
-        elif self.bandwidth <= 0:
+        elif not self.bandwidth > 0:  # NaN too
             raise ConfigError("fixed bandwidth must be positive")
 
     @property

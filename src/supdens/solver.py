@@ -278,7 +278,7 @@ def solve_support(
         raise ConfigError(f"solve_support supports reflection/boundary_kernel, got {method!r}")
     if method == BOUNDARY_KERNEL and not kernel.compact:
         raise ConfigError("the boundary-kernel solve requires a compact kernel")
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ConfigError("bandwidth must be positive")
     data = sample.values
     if sample.n < 2:

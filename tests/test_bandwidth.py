@@ -36,6 +36,12 @@ def test_grid_validation():
     assert np.all(np.diff(g.candidates) > 0)
 
 
+def test_objective_rejects_nan_bandwidth():
+    s = Sample(np.random.default_rng(0).uniform(0, 1, 50))
+    with pytest.raises(ConfigError, match="positive"):
+        lscv_objective(s, EPANECHNIKOV, np.nan)
+
+
 def test_degenerate_sample_rejected():
     with pytest.raises(DataError):
         BandwidthGrid.default(Sample([0.5, 0.5, 0.5]))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from supdens.cli import run_cli
+from supdens.cli import _grid_csv, run_cli
 
 
 @pytest.fixture()
@@ -176,6 +176,30 @@ def test_joint_grid_output(data2d_file, tmp_path):
     assert len(lines) == 17
     reports = json.loads(rep.read_text())
     assert len(reports["reports"]) == 2
+    # byte for byte the rows (x1, x2, pdf, cdf) of the library's tensors, each value as format(v, ".17g")
+    from supdens import EPANECHNIKOV, REFLECTION, MultiSample, SupportMode, fit_joint
+
+    je = fit_joint(MultiSample(np.loadtxt(data2d_file, delimiter=",")), 0.15, EPANECHNIKOV, REFLECTION,
+                   SupportMode.proposed())
+    axes = [np.linspace(0, 1, 4)] * 2
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rows = np.column_stack([m.ravel() for m in mesh] + [je.pdf_grid(axes).ravel(), je.cdf_grid(axes).ravel()])
+    expected = "x1,x2,pdf,cdf\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert out.read_text() == expected
+
+
+def test_grid_csv_writes_each_value_as_format_17g():
+    rows = np.array([
+        [-0.0, 1.0, 5e-324, 1.7976931348623157e308],
+        [0.1, -2.5e-310, 1e22, 123456789012345680.0],
+        [1.0 / 3.0, -1e16, 2.0 ** 53 + 2.0, 0.0],
+    ])
+    want = "a,b,c,d\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert _grid_csv(rows, "a,b,c,d") == want
+    labelled = _grid_csv(rows[:, :2], "x,a,b", ["p", "q", "r"])
+    assert labelled == "x,a,b\n" + "".join(
+        f"{label}," + ",".join(format(v, ".17g") for v in row) + "\n" for label, row in zip("pqr", rows[:, :2])
+    )
 
 
 def test_exit_codes(tmp_path, data_file, capsys):

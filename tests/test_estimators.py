@@ -123,6 +123,15 @@ class TestBoundaryKernel:
         assert est.pdf(0.0) == 0.0
         assert est.pdf(1.0) == 0.0
 
+    def test_pdf_next_to_a_zero_endpoint(self):
+        # within a subnormal distance of l = 0 the edge scale x - l makes
+        # z = (x - X_i)/(x - l) infinite: K(z) = 0 there, not 0 * inf = NaN
+        est = FittedEstimator(BOUNDARY_KERNEL, Sample([0.0, 0.4, 0.6]), 0.3, SupportInterval(0.0, 1.0), EPANECHNIKOV)
+        xs = np.array([5e-324, 1e-310])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(est.pdf(xs), [0.0, 0.0])
+            assert np.array_equal(pdf_terms(est, xs)[:, 1:], np.zeros((2, 2)))
+
     def test_requires_compact_kernel(self):
         with pytest.raises(ConfigError):
             FittedEstimator(BOUNDARY_KERNEL, Sample([0.4, 0.6]), 0.2, SupportInterval(0.0, 1.0), GAUSSIAN)

@@ -14,6 +14,16 @@ def test_epanechnikov_values():
     assert eval_W(EPANECHNIKOV, 1.0) == 1.0
 
 
+def test_compact_kernel_saturates_exactly_beyond_its_radius():
+    # the estimators write these constants instead of evaluating the kernel
+    r = EPANECHNIKOV.support_radius
+    z = np.array([r, np.nextafter(r, 2.0), 1.5, 1e300, np.inf])
+    for side, w in ((1.0, 1.0), (-1.0, 0.0)):
+        k = EPANECHNIKOV.pdf(side * z)
+        assert np.all(k == 0.0) and not np.any(np.signbit(k))
+        assert np.all(EPANECHNIKOV.cdf(side * z) == w)
+
+
 def test_epanechnikov_w_at_half_matches_quadrature():
     # numeric integration of K up to 0.5
     expected = composite_simpson(EPANECHNIKOV.pdf, -1.0, 0.5, 20001)

@@ -99,6 +99,11 @@ class TestBoundaryIse:
         ise = boundary_ise(est, lambda xs: xs * 0.0, 1.0, 0.1)
         assert ise == pytest.approx(5.37890625, rel=1e-14)
 
+    def test_nan_bandwidth_rejected(self):
+        est = FittedEstimator(NAIVE, Sample([0.2, 0.6]), 0.1, UNBOUNDED, EPANECHNIKOV)
+        with pytest.raises(ConfigError, match="positive"):
+            boundary_ise(est, lambda xs: xs * 0.0, 1.0, np.nan)
+
     def test_region_covers_estimator_support(self):
         s = Sample([0.2, 0.6, 0.9])
         h = 0.2
@@ -216,3 +221,8 @@ class TestRunExperiment:
             ExperimentSpec(ns=(1,))
         with pytest.raises(ConfigError):
             ExperimentSpec(seed=-1)
+
+    def test_nan_bandwidth_rejected(self):
+        # NaN passes h <= 0; it used to reach run_experiment and fail in np.arange
+        with pytest.raises(ConfigError, match="positive"):
+            ExperimentSpec(bandwidth=np.nan)

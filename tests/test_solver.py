@@ -386,6 +386,13 @@ def test_sweep_cap_raises(monkeypatch):
         solve_support(s, 0.1, GAUSSIAN, REFLECTION, SupportMode.proposed())
 
 
+def test_nan_bandwidth_rejected():
+    # NaN passes h <= 0; it used to return the sample extremes as a solved support
+    s = uniform_sample(np.random.default_rng(29), 50)
+    with pytest.raises(ConfigError, match="positive"):
+        solve_support(s, np.nan, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
+
+
 def test_solver_preconditions():
     rng = np.random.default_rng(29)
     s = uniform_sample(rng, 30)
