@@ -16,8 +16,14 @@ The kernel decides how the pair sums are formed; no n x n matrix is built:
   after one searchsorted.  At n = 10^5 (beta(3,1), 40 candidates) the
   selection takes 2.2 s at 84 MB peak RSS on a 2-CPU x86_64 VM;
 - any other kernel (Gaussian) visits the upper triangle in blocks of rows,
-  forming the differences once per block for all candidates: n^2/2 pairs per
-  candidate in O(n) memory.
+  forming the differences once per block for all candidates, in O(n) memory.
+  Per candidate it evaluates K only on the pairs within the kernel's
+  saturation radius times h of each block (39 h for the Gaussian, beyond
+  which K underflows to exactly 0) and K*K within twice that, so the sums are
+  bit for bit those of every pair.  A candidate whose window spans the
+  sample still evaluates all n^2/2 pairs: on beta(3,1) samples the
+  selection takes 0.24 s at n = 10^3 and 20 s at n = 10^4 (0.32 s and 29 s
+  evaluating every pair) on a 2-CPU x86_64 VM.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .estimators import Sample
+from .estimators import Sample, _reaches
 from .kernels import KernelSpec
 
 __all__ = ["BandwidthGrid", "lscv_bandwidth", "lscv_objective"]
@@ -136,19 +142,33 @@ def _all_pair_sums(y: np.ndarray, kernel: KernelSpec, hs: np.ndarray) -> np.ndar
 
     Works for any kernel.  The differences y_j - y_i of a row block are formed
     once and reused for every bandwidth; entries with j <= i are set to +inf,
-    where K and K*K vanish.
+    where K and K*K vanish.  For each bandwidth z = d/h is computed only on
+    the columns within 2 * saturation * h of the block's last row (its
+    largest y_i), and K only on those within saturation * h: beyond them
+    every entry of the block is exactly 0 (see `estimators._reaches`).  The
+    terms go into one block buffer that is 0 elsewhere, so each block sums
+    the same full array, bit for bit, as if every pair were evaluated.
     """
     n = y.size
     rows = max(1, CHUNK // n)
     out = np.zeros((2, hs.size))
+    buffer = np.empty(min(rows, n - 1) * (n - 1))
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
-        d = y[None, i0 + 1:] - y[i0:i1, None]
+        tail = y[i0 + 1:]
+        d = tail[None, :] - y[i0:i1, None]
         d[:, : i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.inf
+        block = buffer[: d.size].reshape(d.shape)
+        filled = d.shape[1]  # block[:, filled:] is 0
+        stops = [_reaches(tail, y[i1 - 1], hs, r * kernel.saturation)[1] for r in (1.0, 2.0)]
         for k, h in enumerate(hs):
-            z = d / h
-            out[0, k] += kernel.pdf(z).sum()
-            out[1, k] += kernel.convolution(z).sum()
+            z = d[:, : stops[1][k]] / h
+            for p, f in enumerate((kernel.pdf, kernel.convolution)):
+                stop = stops[p][k]
+                block[:, :stop] = f(z[:, :stop])
+                block[:, stop:filled] = 0.0
+                filled = stop
+                out[p, k] += block.sum()
     return out
 
 

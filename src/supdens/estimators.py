@@ -39,15 +39,16 @@ the multivariate product-form estimator all reduce through `_row_means`,
 which takes the row means of one chunk of about 2^20 terms at a time, so no
 caller holds the whole matrix.
 
-For a compact kernel a term is saturated (K = 0, and W exactly 0 or 1)
-wherever |x - X_i| >= s(x) times the kernel's radius.  Blocks take the
-points in sorted order, and each piece of a term (the naive point x, each
-reflection mirror, each boundary-kernel scale) evaluates the kernel only on
-the sorted columns that `searchsorted` finds in reach of the block;
-every other column gets the saturated constant.  Evaluating m points then
-costs the kernel evaluations of the pairs in reach plus an O(m n) fill and
-row mean, and every term is bit for bit the one the kernel gives.  A
-non-compact kernel (Gaussian) evaluates every pair.
+A term is saturated (K = 0, and W exactly 0 or 1) wherever |x - X_i| >=
+s(x) times the kernel's saturation radius: the support radius of a compact
+kernel, and for the Gaussian the point (39) beyond which its float64 values
+underflow to exactly 0 or round to exactly 1.  Blocks take the points in
+sorted order, and each piece of a term (the naive point x, each reflection
+mirror, each boundary-kernel scale) evaluates the kernel only on the sorted
+columns that `searchsorted` finds in reach of the block; every other column
+gets the saturated constant.  Evaluating m points then costs the kernel
+evaluations of the pairs in reach plus an O(m n) fill and row mean, and
+every term is bit for bit the one the kernel gives.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
 #: Rows of the (m, n) term matrix evaluated at once.  Each piece of a block is
 #: computed into a temporary of at most BLOCK_ROWS x n, so evaluating m points
 #: holds the output and a few block-sized temporaries, not m x n ones.  Blocks
-#: take the points in sorted order, so for a compact kernel the columns a
-#: block must evaluate stay close to those of a single point.
+#: take the points in sorted order, so the columns a block must evaluate stay
+#: close to those of a single point.
 BLOCK_ROWS = 128
 
 
@@ -235,7 +236,7 @@ def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bo
     cols = None
     if data is None:
         data = est.sample.values
-    elif est.kernel.compact:
+    else:
         cols = _sorting(data)
         if cols is not None:
             data = data[cols]
@@ -287,8 +288,8 @@ def _fill_block(
 ) -> None:
     """Write the terms at the sorted points x into out, one row per point.
 
-    data is the sample, sorted for a compact kernel, and sorted observation
-    j belongs in column cols[j] of out (column j when cols is None).
+    data is the sorted sample, and sorted observation j belongs in column
+    cols[j] of out (column j when cols is None).
     """
     kernel, h, n = est.kernel, est.h, data.size
     if cols is not None:
@@ -341,16 +342,13 @@ def _segments(kernel: KernelSpec, pdf: bool, data: np.ndarray, pieces):
 
     pieces are (p, scale, slope) triples, p and scale scalars or one value
     per row; term(k) is piece k's `_scaled_terms` on the columns
-    [start, stop), computed when asked for.  A compact kernel is evaluated
-    only inside each piece's window (see `_window`); elsewhere a piece's
-    terms are the constants the kernel saturates to, 0 for the pdf and 1 or
-    0 for the cdf.
+    [start, stop), computed when asked for.  The kernel is evaluated only
+    inside each piece's window (see `_window`); elsewhere a piece's terms are
+    the constants the kernel saturates to, 0 for the pdf and 1 or 0 for the
+    cdf.
     """
     n = data.size
-    if kernel.compact:
-        spans = [_window(data, p, scale, kernel.support_radius) for p, scale, _ in pieces]
-    else:
-        spans = [(0, n)] * len(pieces)
+    spans = [_window(data, p, scale, kernel.saturation) for p, scale, _ in pieces]
     cuts = sorted({0, n}.union(*spans))
     for start, stop in zip(cuts, cuts[1:]):
 
@@ -368,19 +366,25 @@ def _column(v):
 
 
 def _window(data: np.ndarray, p, scale, radius: float) -> tuple:
-    """Columns [a, b) of the sorted data outside which z = (p - X_j)/scale saturates.
+    """Columns [a, b) of the sorted data outside which every row's z saturates: the union of `_reaches`."""
+    a, b = _reaches(data, p, scale, radius)
+    return int(a.min()), int(b.max())
 
-    For every row and j < a, z >= radius, so K(z) = 0 and W(z) = 1 exactly;
-    for j >= b, z <= -radius, so K(z) = 0 and W(z) = 0.  Proof: the
-    threshold below p - reach (reach >= radius*scale) is strictly less than
-    the exact p - reach, so X_j at or below it makes p - X_j > reach, and
-    rounding the difference and the quotient keeps z >= radius.  The upper
-    side is the mirror image.
+
+def _reaches(data: np.ndarray, p, scale, radius: float) -> tuple:
+    """Per element of p and scale, columns [a, b) of the sorted data outside which |z| >= radius.
+
+    For j < a, z = (p - X_j)/scale >= radius, and for j >= b, z <= -radius.
+    At the kernel's saturation radius K(z) = 0 and W(z) is exactly 1 or 0
+    there; at twice it K*K(z) = 0.  Proof: the threshold below p - reach
+    (reach >= radius*scale) is strictly less than the exact p - reach, so
+    X_j at or below it makes p - X_j > reach, and rounding the difference
+    and the quotient keeps z >= radius.  The upper side is the mirror image.
     """
     reach = np.nextafter(radius * scale, np.inf)
     a = data.searchsorted(np.nextafter(p - reach, -np.inf), "right")
     b = data.searchsorted(np.nextafter(p + reach, np.inf), "left")
-    return int(a.min()), int(b.max())
+    return a, b
 
 
 def _scaled_terms(
@@ -395,9 +399,9 @@ def _scaled_terms(
         return kernel.cdf(z)
     k = kernel.pdf(z)
     if slope:
-        # K(z) = 0 beyond the (finite) radius, where z may be infinite near an
-        # endpoint; clipping z there keeps 0 * inf from making NaN
-        r = kernel.support_radius
+        # K(z) = 0 beyond the saturation radius, where z may be infinite near
+        # an endpoint; clipping z there keeps 0 * inf from making NaN
+        r = kernel.saturation
         k = k * (1.0 - slope * np.clip(z, -r, r))
     return k / scale
 

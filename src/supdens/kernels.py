@@ -1,5 +1,5 @@
 """Symmetric kernel functions K, their integrals W, their convolutions K*K,
-and support radii.
+support radii and saturation radii.
 
 Two kernels are provided: Epanechnikov (compact support, the default for all
 boundary-corrected estimators) and Gaussian.  A ``KernelSpec`` is immutable
@@ -65,9 +65,17 @@ def _epan_KK(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp_square(t, c: float, divisor: float) -> np.ndarray:
+    """exp((c * t) * t) / divisor, in that operation order, in one fresh array."""
+    t = np.asarray(t, dtype=float)
+    out = np.multiply(c, t, out=np.empty_like(t))
+    np.multiply(out, t, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, divisor, out=out)
+
+
 def _gauss_K(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    return _exp_square(z, -0.5, _SQRT_2PI)
 
 
 def _gauss_W(z: np.ndarray) -> np.ndarray:
@@ -76,27 +84,41 @@ def _gauss_W(z: np.ndarray) -> np.ndarray:
 
 def _gauss_KK(t: np.ndarray) -> np.ndarray:
     # Convolution (K*K)(t) = exp(-t^2/4) / (2 sqrt(pi)), the N(0, 2) density.
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.25 * t * t) / _2_SQRT_PI
+    return _exp_square(t, -0.25, _2_SQRT_PI)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A symmetric kernel: name, density K, integral W, support radius, K*K.
+    """A symmetric kernel: name, density K, integral W, radii, K*K.
 
     ``support_radius`` is the half-width of supp(K); ``np.inf`` for the
-    Gaussian.  A compact kernel must return exactly K = 0 and W = 0 or 1 at
-    |z| >= support_radius: the estimators write those values without
-    evaluating the kernel there.  ``convolution`` is always set: the
-    closed-form K*K that least-squares cross-validation sums.  ``polynomial``, when set, holds the
+    Gaussian.  ``saturation`` is the radius beyond which the kernel's float64
+    values are exactly constant: at |z| >= saturation it must return K = 0 and
+    W = 0 (z < 0) or 1 (z > 0), and at |t| >= 2 * saturation K*K = 0.  The
+    estimators and LSCV write those constants without evaluating the kernel
+    there.  For a compact kernel it is the support radius.  The Gaussian's
+    terms vanish in float64 only through underflow: scanning the floats, the
+    last nonzero K is at z = 38.5755, the last nonzero W below 0 at
+    z = -37.6771 and the last W below 1 at z = 8.2924, and the last nonzero
+    K*K at t = 54.554.  Its saturation is 39, where the true K is 10^-330.7,
+    W(-39) is 10^-332.3 and K*K(78) is 10^-661, all orders of magnitude below
+    half the smallest subnormal (10^-323.6), and 1 - W(39) is far below half
+    an ulp of 1; so any faithfully rounded exp and ndtr return exactly 0 or 1
+    there.  ``convolution`` is always set: the closed-form K*K that
+    least-squares cross-validation sums.  ``polynomial``, when set, holds the
     coefficients in |t|, lowest degree first, of K on |t| <= support_radius
     and of K*K on |t| <= 2 * support_radius; the Gaussian has none.
+
+    ``pdf``, ``cdf`` and ``convolution`` take a Python scalar, a list or an
+    array of any shape and return float64 values of that shape in new memory;
+    they never write into their argument.
     """
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     support_radius: float
+    saturation: float
     convolution: Callable[[np.ndarray], np.ndarray]
     polynomial: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
 
@@ -110,6 +132,7 @@ EPANECHNIKOV = KernelSpec(
     pdf=_epan_K,
     cdf=_epan_W,
     support_radius=1.0,
+    saturation=1.0,
     convolution=_epan_KK,
     polynomial=((0.75, 0.0, -0.75), (0.6, 0.0, -0.75, 0.375, 0.0, -0.01875)),
 )
@@ -119,6 +142,7 @@ GAUSSIAN = KernelSpec(
     pdf=_gauss_K,
     cdf=_gauss_W,
     support_radius=np.inf,
+    saturation=39.0,
     convolution=_gauss_KK,
 )
 

@@ -20,7 +20,8 @@ from supdens import (
 from supdens import bandwidth
 from supdens.quadrature import composite_simpson
 
-# the Epanechnikov kernel without its polynomial: LSCV then sums all pairs
+# the Epanechnikov kernel without its polynomial: LSCV then takes the row-block
+# path, whose windows `test_all_pair_sums_match_full_width_oracle` checks
 ALL_PAIRS_EPANECHNIKOV = dataclasses.replace(EPANECHNIKOV, polynomial=None)
 
 
@@ -192,3 +193,36 @@ def test_window_lscv_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+def full_width_pair_sums(y, kernel, hs):
+    """Pair sums of K and K*K over the upper triangle, every entry of every row block evaluated."""
+    n = y.size
+    rows = max(1, bandwidth.CHUNK // n)
+    out = np.zeros((2, hs.size))
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        d = y[None, i0 + 1:] - y[i0:i1, None]
+        d[:, : i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.inf
+        for k, h in enumerate(hs):
+            z = d / h
+            out[0, k] += kernel.pdf(z).sum()
+            out[1, k] += kernel.convolution(z).sum()
+    return out
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, ALL_PAIRS_EPANECHNIKOV], ids=["gaussian", "all_pairs"])
+@pytest.mark.parametrize("shift", [0.0, -3.7, 1e9])
+@pytest.mark.parametrize("n, lattice", [(2, 0), (45, 0), (257, 40), (1100, 0), (1100, 60)])
+def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
+    # The windowed row blocks sum the same block arrays as the full-width
+    # oracle, bit for bit.  257 and 1100 rows are not multiples of the block
+    # height CHUNK // n, the lattice makes ties, and the candidates run from
+    # 1e-4 of the range (a window of a few columns) to the range (all of them).
+    x = np.random.default_rng(n + lattice).beta(3.0, 1.0, n)
+    if lattice:
+        x = np.round(x * lattice) / lattice
+    y = np.sort(x + shift)
+    y -= y[n // 2]
+    hs = np.geomspace(1e-4, 1.0, 25) * (y[-1] - y[0])
+    assert np.array_equal(bandwidth._all_pair_sums(y, kernel, hs), full_width_pair_sums(y, kernel, hs))

@@ -14,14 +14,22 @@ def test_epanechnikov_values():
     assert eval_W(EPANECHNIKOV, 1.0) == 1.0
 
 
-def test_compact_kernel_saturates_exactly_beyond_its_radius():
-    # the estimators write these constants instead of evaluating the kernel
-    r = EPANECHNIKOV.support_radius
-    z = np.array([r, np.nextafter(r, 2.0), 1.5, 1e300, np.inf])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN], ids=lambda k: k.name)
+def test_kernel_saturates_exactly_beyond_its_saturation_radius(kernel):
+    # the estimators and LSCV write these constants instead of evaluating the kernel
+    r = kernel.saturation
+    z = np.concatenate([[r, np.nextafter(r, np.inf), np.nextafter(np.nextafter(r, np.inf), np.inf)],
+                        np.linspace(r, 1e3, 200001), [1e300, np.inf]])
     for side, w in ((1.0, 1.0), (-1.0, 0.0)):
-        k = EPANECHNIKOV.pdf(side * z)
+        with np.errstate(over="ignore"):  # z * z overflows to inf at 1e300
+            k, kk = kernel.pdf(side * z), kernel.convolution(side * 2.0 * z)
         assert np.all(k == 0.0) and not np.any(np.signbit(k))
-        assert np.all(EPANECHNIKOV.cdf(side * z) == w)
+        assert np.all(kernel.cdf(side * z) == w)
+        assert np.all(kk == 0.0) and not np.any(np.signbit(kk))
+    # the radius is tight for the compact kernel and has margin for the Gaussian
+    inside = np.nextafter(r, 0.0)
+    assert (kernel.pdf(inside) > 0.0) == kernel.compact
+    assert (kernel.convolution(np.nextafter(2.0 * r, 0.0)) > 0.0) == kernel.compact
 
 
 def test_epanechnikov_w_at_half_matches_quadrature():
@@ -39,6 +47,31 @@ def test_gaussian_values():
     # the compact kernel's W clips +/-inf to exactly 1 and 0 as well
     assert eval_W(EPANECHNIKOV, np.inf) == 1.0
     assert eval_W(EPANECHNIKOV, -np.inf) == 0.0
+
+
+_FUNCTIONS = [(kernel, attr) for kernel in (EPANECHNIKOV, GAUSSIAN) for attr in ("pdf", "cdf", "convolution")]
+
+
+@pytest.mark.parametrize("kernel, attr", _FUNCTIONS, ids=[f"{k.name}-{a}" for k, a in _FUNCTIONS])
+def test_kernel_function_contract(kernel, attr):
+    # a Python scalar, a 0-d array, a list or an array of any shape in; float64
+    # values of that shape in new memory out; the argument is never written
+    f = getattr(kernel, attr)
+    values = [-40.0, -1.5, -0.5, 0.0, 0.25, 1.0, 3.0]
+    want = [float(f(np.array([v]))[0]) for v in values]
+    for v, w in zip(values, want):
+        for arg in (v, np.float64(v), np.array(v)):
+            out = f(arg)
+            assert np.shape(out) == () and np.asarray(out).dtype == np.float64
+            assert float(out) == w
+    assert np.array_equal(f(values), want)
+    grid = np.array(values * 2).reshape(2, 7)
+    for arg in (grid, grid.T, grid[:, ::2], np.array(values)):
+        before = arg.copy()
+        out = f(arg)
+        assert np.shape(out) == arg.shape and out.dtype == np.float64
+        assert np.array_equal(out, np.vectorize(lambda v: want[values.index(v)])(arg))
+        assert np.array_equal(arg, before) and not np.shares_memory(out, arg)
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
