@@ -21,7 +21,6 @@ from .estimators import (
 )
 from .joint import JointEstimator, MultiSample, fit_joint, joint_cdf, joint_pdf
 from .kernels import EPANECHNIKOV, GAUSSIAN, KernelSpec, eval_K, eval_W, get_kernel
-from .quadrature import composite_simpson
 from .simulate import (
     CellResult,
     ExperimentResult,
@@ -62,7 +61,6 @@ __all__ = [
     "eval_K",
     "eval_W",
     "get_kernel",
-    "composite_simpson",
     "CellResult",
     "ExperimentResult",
     "ExperimentSpec",

@@ -39,6 +39,9 @@ from .kernels import KernelSpec
 
 __all__ = ["BandwidthGrid", "lscv_bandwidth", "lscv_objective"]
 
+#: Candidates in the default LSCV bandwidth grid.
+DEFAULT_POINTS = 40
+
 
 @dataclass(frozen=True)
 class BandwidthGrid:
@@ -58,8 +61,8 @@ class BandwidthGrid:
         object.__setattr__(self, "candidates", arr)
 
     @classmethod
-    def default(cls, sample: Sample, points: int = 40) -> "BandwidthGrid":
-        """40 log-spaced candidates over [0.05*sd*n^(-1/5), sd].
+    def default(cls, sample: Sample) -> "BandwidthGrid":
+        """DEFAULT_POINTS log-spaced candidates over [0.05*sd*n^(-1/5), sd].
 
         The lower bound carries the n^(-1/5) pilot factor so small candidates
         exist at large n; the upper bound is additionally capped at just under
@@ -73,7 +76,7 @@ class BandwidthGrid:
         hi = min(sd, 0.499 * (sample.max - sample.min))
         if hi <= lo:
             hi = 2.0 * lo
-        return cls(np.geomspace(lo, hi, points))
+        return cls(np.geomspace(lo, hi, DEFAULT_POINTS))
 
 
 #: Float64 entries per working array.  The window path holds about 25 arrays

@@ -37,6 +37,9 @@ __all__ = ["run_cli", "main"]
 
 _METHOD_NAMES = {"naive": NAIVE, "reflection": REFLECTION, "boundary-kernel": BOUNDARY_KERNEL}
 _METHOD_LABELS = {m.label: m for m in TABLE_METHODS}
+_CORRECTED_METHODS = ("reflection", "boundary-kernel")
+# --mode choices: SupportMode kinds with "-" for "_"
+_MODES = ("known", "proposed", "extremes", "half-known-lower", "half-known-upper")
 
 
 class UsageError(Exception):
@@ -105,25 +108,13 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _parse_mode(args) -> Optional[SupportMode]:
-    name = args.mode
-    if name is None:
+    """The --mode SupportMode, given only the --lower/--upper endpoints its kind takes."""
+    if args.mode is None:
         return None
-    if name == "proposed":
-        return SupportMode.proposed()
-    if name == "extremes":
-        return SupportMode.extremes()
-    if name == "known":
-        if args.lower is None or args.upper is None:
-            raise UsageError("--mode known requires --lower and --upper")
-        return SupportMode.known(args.lower, args.upper)
-    if name == "half-known-lower":
-        if args.lower is None:
-            raise UsageError("--mode half-known-lower requires --lower")
-        return SupportMode.half_known_lower(args.lower)
-    # half-known-upper, the last of the parser's choices
-    if args.upper is None:
-        raise UsageError("--mode half-known-upper requires --upper")
-    return SupportMode.half_known_upper(args.upper)
+    kind = args.mode.replace("-", "_")
+    lower = args.lower if kind in ("known", "half_known_lower") else None
+    upper = args.upper if kind in ("known", "half_known_upper") else None
+    return SupportMode(kind, lower, upper)
 
 
 def _parse_bandwidth(policy: str, d: int = 1):
@@ -139,11 +130,6 @@ def _parse_bandwidth(policy: str, d: int = 1):
     if not all(h > 0 for h in hs):
         raise UsageError("--bandwidth must be positive")
     return hs * (d // len(hs))
-
-
-def _sample_bandwidth(policy: str, sample: Sample, kernel) -> float:
-    h = _parse_bandwidth(policy)
-    return lscv_bandwidth(sample, kernel) if h == "lscv" else h[0]
 
 
 def _fmt(v: float) -> str:
@@ -164,13 +150,18 @@ def _grid_csv(rows: np.ndarray, header: str, labels=None) -> str:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _cmd_fit(args) -> int:
+def _univariate_inputs(args):
+    """(kernel, sample, method, mode, h) from the options that fit and solve share."""
     kernel = get_kernel(args.kernel)
-    data = _read_csv(args.input, columns=1)
-    sample = Sample(data[:, 0])
+    sample = Sample(_read_csv(args.input, columns=1)[:, 0])
     mode = _parse_mode(args)
-    method = _METHOD_NAMES[args.method]
-    h = _sample_bandwidth(args.bandwidth, sample, kernel)
+    h = _parse_bandwidth(args.bandwidth)
+    h = lscv_bandwidth(sample, kernel) if h == "lscv" else h[0]
+    return kernel, sample, _METHOD_NAMES[args.method], mode, h
+
+
+def _cmd_fit(args) -> int:
+    kernel, sample, method, mode, h = _univariate_inputs(args)
     est, report = fit(sample, h, kernel, method, mode)
     model = {
         "method": args.method,
@@ -213,12 +204,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    kernel = get_kernel(args.kernel)
-    data = _read_csv(args.input, columns=1)
-    sample = Sample(data[:, 0])
-    mode = _parse_mode(args)
-    h = _sample_bandwidth(args.bandwidth, sample, kernel)
-    method = _METHOD_NAMES[args.method]
+    kernel, sample, method, mode, h = _univariate_inputs(args)
     report = solve_support(sample, h, kernel, method, mode)
     payload = {
         "method": args.method,
@@ -232,7 +218,8 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _parse_dist(spec: str):
+def _parse_dist(spec: str) -> dict:
+    """The ExperimentSpec shapes {p, q} of a --dist beta:p,q; ExperimentSpec checks them."""
     try:
         family, params = spec.split(":")
         p_s, q_s = params.split(",")
@@ -241,9 +228,14 @@ def _parse_dist(spec: str):
         raise UsageError(f"--dist must look like beta:p,q, got {spec!r}") from None
     if family != "beta":
         raise UsageError(f"only the beta family is built in, got {family!r}")
-    if p <= 0 or q <= 0:
-        raise UsageError("beta shapes must be positive")
-    return p, q
+    return {"p": p, "q": q}
+
+
+def _method_spec(label: str):
+    label = label.strip()
+    if label not in _METHOD_LABELS:
+        raise UsageError(f"unknown method label {label!r}; choose from {sorted(_METHOD_LABELS)}")
+    return _METHOD_LABELS[label]
 
 
 # simulate config keys (each named like its flag's attribute) and value parsers
@@ -289,54 +281,29 @@ def _load_sim_config(path: str, args) -> None:
 def _cmd_simulate(args) -> int:
     if args.config is not None:
         _load_sim_config(args.config, args)
-    args.kernel = args.kernel or "epanechnikov"
-    args.bandwidth = args.bandwidth or "lscv"
-    args.format = args.format or "csv"
-    args.reps = 500 if args.reps is None else args.reps
-    args.seed = 0 if args.seed is None else args.seed
-    if args.format not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {args.format!r}")
-    kernel = get_kernel(args.kernel)
-    if args.methods is None:
-        methods = TABLE_METHODS
-    else:
-        methods = []
-        for label in args.methods.split(","):
-            label = label.strip()
-            if label not in _METHOD_LABELS:
-                raise UsageError(
-                    f"unknown method label {label!r}; choose from {sorted(_METHOD_LABELS)}"
-                )
-            methods.append(_METHOD_LABELS[label])
-        methods = tuple(methods)
-    hs = _parse_bandwidth(args.bandwidth)
-    dists = args.dist or ["beta:1,1"]
-    ns = tuple(args.n or [50, 100, 300])
-    chunks = []
-    for i, dspec in enumerate(dists):
-        p, q = _parse_dist(dspec)
-        spec = ExperimentSpec(
-            p=p,
-            q=q,
-            ns=ns,
-            methods=methods,
-            reps=args.reps,
-            kernel=kernel,
-            bandwidth=hs if hs == "lscv" else hs[0],
-            seed=args.seed,
-        )
-        result = run_experiment(spec)
-        if args.format == "json":
-            chunks.append(result.detail_json())
-        else:
-            csv = result.table_csv()
-            if i > 0:  # drop the repeated header for subsequent distributions
-                csv = csv.split("\n", 1)[1]
-            chunks.append(csv)
-    if args.format == "json":
+    fmt = args.format or "csv"
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {fmt!r}")
+    # ExperimentSpec holds the defaults: it is passed only the options that are set
+    given = {key: getattr(args, key) for key in ("reps", "seed") if getattr(args, key) is not None}
+    if args.kernel:
+        given["kernel"] = get_kernel(args.kernel)
+    if args.methods is not None:
+        given["methods"] = tuple(_method_spec(label) for label in args.methods.split(","))
+    if args.bandwidth:
+        hs = _parse_bandwidth(args.bandwidth)
+        given["bandwidth"] = hs if hs == "lscv" else hs[0]
+    if args.n:
+        given["ns"] = tuple(args.n)
+    dists = [_parse_dist(d) for d in args.dist] if args.dist else [{}]
+    results = [run_experiment(ExperimentSpec(**dist, **given)) for dist in dists]
+    if fmt == "json":
+        chunks = [result.detail_json() for result in results]
         text = json.dumps(chunks if len(chunks) > 1 else chunks[0], indent=2) + "\n"
     else:
-        text = "".join(chunks)
+        # the distributions after the first drop their repeated header
+        tables = [result.table_csv() for result in results]
+        text = tables[0] + "".join(table.split("\n", 1)[1] for table in tables[1:])
     _write_output(text, args.output)
     return 0
 
@@ -387,20 +354,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="supdens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="headerless CSV of observations")
+    def estimator_options(p, methods, modes, mode_required=True):
+        p.add_argument("--input", required=True, help="headerless CSV of observations")
         p.add_argument("--kernel", default="epanechnikov", choices=["epanechnikov", "gaussian"])
         p.add_argument("--bandwidth", default="lscv", help="'lscv' or a positive number")
         p.add_argument("--output", default=None, help="output path (default stdout)")
+        p.add_argument("--method", required=True, choices=methods)
+        p.add_argument("--mode", required=mode_required, choices=modes)
+        p.add_argument("--lower", type=float, default=None)
+        p.add_argument("--upper", type=float, default=None)
 
     p_fit = sub.add_parser("fit", help="fit an estimator and persist the model as JSON")
-    common(p_fit)
-    p_fit.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
-    p_fit.add_argument("--mode", default=None,
-                       choices=["known", "proposed", "extremes", "half-known-lower", "half-known-upper"])
-    p_fit.add_argument("--lower", type=float, default=None)
-    p_fit.add_argument("--upper", type=float, default=None)
+    estimator_options(p_fit, sorted(_METHOD_NAMES), _MODES, mode_required=False)
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_eval = sub.add_parser("eval", help="evaluate a persisted model on a grid")
@@ -411,12 +376,8 @@ def _build_parser() -> _Parser:
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_solve = sub.add_parser("solve", help="estimate support endpoints; prints a JSON report")
-    common(p_solve)
-    p_solve.add_argument("--method", required=True, choices=["reflection", "boundary-kernel"])
-    p_solve.add_argument("--mode", required=True,
-                         choices=["proposed", "extremes", "half-known-lower", "half-known-upper"])
-    p_solve.add_argument("--lower", type=float, default=None)
-    p_solve.add_argument("--upper", type=float, default=None)
+    # solve_support has nothing to solve in a known mode
+    estimator_options(p_solve, _CORRECTED_METHODS, _MODES[1:])
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo boundary-ISE comparison table")
@@ -435,12 +396,7 @@ def _build_parser() -> _Parser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_joint = sub.add_parser("joint", help="fit a joint estimator and evaluate on a tensor grid")
-    common(p_joint)
-    p_joint.add_argument("--method", required=True, choices=["reflection", "boundary-kernel"])
-    p_joint.add_argument("--mode", required=True,
-                         choices=["known", "proposed", "extremes", "half-known-lower", "half-known-upper"])
-    p_joint.add_argument("--lower", type=float, default=None)
-    p_joint.add_argument("--upper", type=float, default=None)
+    estimator_options(p_joint, _CORRECTED_METHODS, _MODES)
     p_joint.add_argument("--grid", required=True,
                          help="min:max:count, or d specs separated by ';'")
     p_joint.add_argument("--report", default=None, help="optional path for the JSON solve reports")

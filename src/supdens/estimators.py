@@ -394,10 +394,14 @@ def _scaled_terms(
 
     scale is s(x) and slope is ds/dx: s = h with slope 0 is the naive term.
     """
-    z = (x - data) / scale
-    if not pdf:
-        return kernel.cdf(z)
-    k = kernel.pdf(z)
+    # A subnormal scale can overflow z, or z*z inside K, for far observations.
+    # That z lies beyond the saturation radius, where W is exactly 0 or 1, K is
+    # 0 and the slope term clips z, so the overflow changes no value.
+    with np.errstate(over="ignore"):
+        z = (x - data) / scale
+        if not pdf:
+            return kernel.cdf(z)
+        k = kernel.pdf(z)
     if slope:
         # K(z) = 0 beyond the saturation radius, where z may be infinite near
         # an endpoint; clipping z there keeps 0 * inf from making NaN

@@ -116,13 +116,13 @@ class JointEstimator:
     def _grid(self, axes: Sequence[np.ndarray], which: str) -> np.ndarray:
         if len(axes) != self.d:
             raise ConfigError(f"expected {self.d} axes, got {len(axes)}")
+        if self.d > 51:  # einsum labels at most 52 axes: d coordinates and the observations
+            raise ConfigError("tensor grids supported up to 51 dimensions")
         fn = cdf_terms if which == "cdf" else pdf_terms
         mats = [fn(self.marginals[j], axes[j], self.data.rows[:, j]) for j in range(self.d)]
-        letters = "abcdefghijk"
-        if self.d > len(letters):
-            raise ConfigError("tensor grids supported up to 11 dimensions")
-        sub = ",".join(f"{letters[j]}z" for j in range(self.d)) + "->" + letters[: self.d]
-        out = np.einsum(sub, *mats) / self.data.n
+        # operand j holds axes (j, d): d, the observations, is summed out
+        operands = [arg for j, m in enumerate(mats) for arg in (m, [j, self.d])]
+        out = np.einsum(*operands, list(range(self.d))) / self.data.n
         if which == "cdf":
             out = np.clip(out, 0.0, 1.0)
         return out

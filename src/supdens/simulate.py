@@ -15,7 +15,7 @@ are reproducible bit-for-bit and independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
@@ -288,20 +288,7 @@ class ExperimentResult:
             "seed": self.spec.seed,
             "bandwidth": self.spec.bandwidth,
             "kernel": self.spec.kernel.name,
-            "cells": [
-                {
-                    "n": c.n,
-                    "method": c.method,
-                    "mean_ise": c.mean_ise,
-                    "sem": c.sem,
-                    "reps": c.reps,
-                    "fallbacks": c.fallbacks,
-                    "median_ise": c.median_ise,
-                    "max_ise": c.max_ise,
-                    "worst_rep": c.worst_rep,
-                }
-                for c in self.cells
-            ],
+            "cells": [{k: v for k, v in asdict(c).items() if k != "distribution"} for c in self.cells],
         }
 
 

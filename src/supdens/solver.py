@@ -224,7 +224,7 @@ def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int
 
 
 @np.errstate(over="ignore")  # s*z/delta overflows to -inf at tiny delta, where W is 0 as it should be
-def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float = np.nan):
+def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float):
     """(endpoint, residual, iterations, bracket, fallback) of side s, the other endpoint at `other`.
 
     An objective with a data-coordinate start (the boundary kernel) doubles the bracket [0, 1].
@@ -300,32 +300,28 @@ def solve_support(
     l0 = float(mode.lower) if mode.lower is not None else x1
     u0 = float(mode.upper) if mode.upper is not None else xn
     result = {-1: (l0, 0.0, 0, (l0, l0), False), 1: (u0, 0.0, 0, (u0, u0), False)}
-    sweeps = 0
-    if kernel.compact:
-        # The two equations decouple.  The boundary kernel's never involve the
-        # other endpoint.  In the reflection equation of side s, the mirrored
-        # terms across the other endpoint are exactly 0 and 1 for every
-        # l <= X_(1) and u >= X_(n), because h <= (X_(n) - X_(1))/2 (checked
-        # above), so one sweep solves both.
+    # With a compact kernel the two equations decouple.  The boundary kernel's
+    # never involve the other endpoint.  In the reflection equation of side s,
+    # the mirrored terms across the other endpoint are exactly 0 and 1 for
+    # every l <= X_(1) and u >= X_(n), because h <= (X_(n) - X_(1))/2 (checked
+    # above), so one sweep solves both.  Reflection with the Gaussian
+    # alternates one-dimensional solves until both endpoints move less than
+    # MOVE_TOL bandwidths.
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        moved = 0.0
         for s in sides:
-            result[s] = _solve_side(objective, data, kernel, h, s, result[-s][0])
-        sweeps = int(method == REFLECTION)
+            new = _solve_side(objective, data, kernel, h, s, result[-s][0])
+            moved = max(moved, abs(new[0] - result[s][0]) / h)
+            result[s] = new
+        if kernel.compact or moved < MOVE_TOL:
+            break
     else:
-        # reflection with the Gaussian: alternate one-dimensional solves until
-        # both endpoints move less than MOVE_TOL bandwidths
-        for sweeps in range(1, MAX_SWEEPS + 1):
-            moved = 0.0
-            for s in sides:
-                new = _solve_side(objective, data, kernel, h, s, result[-s][0])
-                moved = max(moved, abs(new[0] - result[s][0]) / h)
-                result[s] = new
-            if moved < MOVE_TOL:
-                break
-        else:
-            raise NumericError(
-                f"reflection endpoints still moved {moved:.3e} bandwidths after {MAX_SWEEPS} sweeps"
-            )
+        raise NumericError(
+            f"reflection endpoints still moved {moved:.3e} bandwidths after {MAX_SWEEPS} sweeps"
+        )
     (l_hat, res_l, it_l, br_l, fb_l), (u_hat, res_r, it_r, br_r, fb_r) = result[-1], result[1]
+    # the boundary kernel's sides are solved once each, with no outer sweep
+    sweeps = sweeps if method == REFLECTION else 0
     return SolveReport(l_hat, u_hat, res_l, res_r, it_l, it_r, br_l, br_r, fb_l, fb_r, sweeps)
 
 

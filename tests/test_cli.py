@@ -161,6 +161,8 @@ def test_simulate_json_format(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["distribution"] == "beta(3,1)"
     assert len(payload["cells"]) == 5
+    assert list(payload["cells"][0]) == ["n", "method", "mean_ise", "sem", "reps", "fallbacks",
+                                         "median_ise", "max_ise", "worst_rep"]
 
 
 def test_joint_grid_output(data2d_file, tmp_path):
@@ -297,4 +299,172 @@ def test_gaussian_kernel_path(data_file, capsys):
                     "--lower", "-0.5", "--upper", "1.5", "--bandwidth", "0.3",
                     "--kernel", "gaussian", "--input", data_file])
     assert code == 0
+    capsys.readouterr()
+
+
+# -- characterization of the error paths: exit code, and no output file on failure ----
+
+
+def _fails(argv, code, out):
+    """run_cli(argv + --output out) exits with `code` and leaves no file at out."""
+    assert run_cli(list(argv) + ["--output", str(out)]) == code, argv
+    assert not out.exists(), argv
+
+
+def test_read_csv_paths(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    fit = ["fit", "--method", "naive", "--bandwidth", "0.2", "--input"]
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("0.1\n0.4\n0.9\n")
+    blank.write_text("\n0.1\n  \n0.4\n\n0.9\n\n")
+    # blank lines are skipped: the same model as without them
+    assert run_cli(fit + [str(plain), "--output", str(out)]) == 0
+    assert run_cli(fit + [str(blank), "--output", str(tmp_path / "blank.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "blank.json").read_bytes()
+    out.unlink()
+    cases = {
+        "nonfinite.csv": "0.1\ninf\n0.5\n",
+        "nan.csv": "0.1\nnan\n0.5\n",
+        "ragged.csv": "0.1,0.2\n0.3\n",
+        "twocol.csv": "0.1,0.2\n0.3,0.4\n",
+        "empty.csv": "\n  \n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        _fails(fit + [str(path)], 2, out)
+    # joint takes any width but still rejects ragged and empty files
+    for name in ("ragged.csv", "empty.csv"):
+        _fails(["joint", "--input", str(tmp_path / name), "--method", "reflection", "--mode", "proposed",
+                "--bandwidth", "0.1", "--grid", "0:1:3"], 2, out)
+    capsys.readouterr()
+
+
+def test_grid_spec_errors(data_file, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run_cli(["fit", "--method", "naive", "--bandwidth", "0.2",
+                    "--input", data_file, "--output", str(model)]) == 0
+    out = tmp_path / "grid.csv"
+    for spec in ("0:1", "0:1:2:3", "a:1:3", "0:1:x", "0:1:2.5", "0:1:0", "0:1:-3", "1:0:5", "1:1:3"):
+        _fails(["eval", "--model", str(model), "--grid", spec], 1, out)
+        _fails(["joint", "--input", data_file, "--method", "reflection", "--mode", "proposed",
+                "--bandwidth", "0.1", "--grid", spec], 1, out)
+    # one point needs no min < max
+    assert run_cli(["eval", "--model", str(model), "--grid", "1:1:1", "--output", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_eval_unreadable_or_invalid_model(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    _fails(["eval", "--model", str(tmp_path / "missing.json"), "--grid", "0:1:3"], 2, out)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _fails(["eval", "--model", str(bad), "--grid", "0:1:3"], 2, out)
+    capsys.readouterr()
+
+
+def test_simulate_option_errors(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    sim = ["simulate", "--n", "10", "--reps", "1", "--methods", "naive", "--bandwidth", "0.2"]
+    for dist in ("beta", "beta:1", "beta:1,2,3", "beta:a,1", "gamma:1,1", "beta:0,1", "beta:1,-2"):
+        _fails(sim + ["--dist", dist], 1, out)
+        # a bad second distribution fails the whole run
+        _fails(sim + ["--dist", "beta:1,1", "--dist", dist], 1, out)
+    _fails(sim + ["--methods", "naive,bk:nope"], 1, out)
+    _fails(sim + ["--config", str(tmp_path / "missing.cfg")], 2, out)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("reps = 1\nn 10\n")
+    _fails(sim + ["--config", str(cfg)], 2, out)
+    cfg.write_text("format = xml\n")
+    _fails(sim + ["--config", str(cfg)], 1, out)
+    # a flag wins over the config file's bad value
+    assert run_cli(sim + ["--config", str(cfg), "--format", "csv", "--output", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_simulate_second_dist_drops_its_header(tmp_path):
+    sim = ["simulate", "--n", "10", "--reps", "2", "--seed", "3", "--bandwidth", "0.2"]
+    one, two, both = (tmp_path / f"{name}.csv" for name in ("one", "two", "both"))
+    assert run_cli(sim + ["--dist", "beta:1,1", "--output", str(one)]) == 0
+    assert run_cli(sim + ["--dist", "beta:3,1", "--output", str(two)]) == 0
+    assert run_cli(sim + ["--dist", "beta:1,1", "--dist", "beta:3,1", "--output", str(both)]) == 0
+    second = two.read_text().split("\n", 1)[1]
+    assert both.read_text() == one.read_text() + second
+    # the json of several distributions is a list of their objects
+    assert run_cli(sim + ["--dist", "beta:1,1", "--dist", "beta:3,1", "--format", "json",
+                          "--output", str(both)]) == 0
+    assert run_cli(sim + ["--dist", "beta:3,1", "--format", "json", "--output", str(two)]) == 0
+    assert json.loads(both.read_text())[1] == json.loads(two.read_text())
+
+
+def test_joint_grid_per_axis(data2d_file, tmp_path, capsys):
+    joint = ["joint", "--input", data2d_file, "--method", "reflection", "--mode", "proposed",
+             "--bandwidth", "0.15"]
+    shared, per_axis = tmp_path / "shared.csv", tmp_path / "axis.csv"
+    assert run_cli(joint + ["--grid", "0:1:4", "--output", str(shared)]) == 0
+    assert run_cli(joint + ["--grid", "0:1:4;0:1:4", "--output", str(per_axis)]) == 0
+    assert per_axis.read_bytes() == shared.read_bytes()
+    assert run_cli(joint + ["--grid", "0:1:2;0:0.5:3", "--output", str(per_axis)]) == 0
+    lines = per_axis.read_text().strip().split("\n")
+    assert len(lines) == 1 + 2 * 3
+    assert [line.split(",")[:2] for line in lines[1:4]] == [["0", "0"], ["0", "0.25"], ["0", "0.5"]]
+    out = tmp_path / "out.csv"
+    _fails(joint + ["--grid", "0:1:4;0:1:4;0:1:4"], 1, out)
+    capsys.readouterr()
+
+
+def test_modes_missing_endpoints(data_file, data2d_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    fit = ["fit", "--method", "reflection", "--bandwidth", "0.1", "--input", data_file]
+    solve = ["solve", "--method", "reflection", "--bandwidth", "0.1", "--input", data_file]
+    joint = ["joint", "--input", data2d_file, "--method", "reflection", "--bandwidth", "0.1",
+             "--grid", "0:1:3"]
+    for argv in (fit, joint):
+        for missing in ([], ["--lower", "-1"], ["--upper", "2"]):
+            _fails(argv + ["--mode", "known"] + missing, 1, out)
+    for argv in (fit, solve, joint):
+        # each half-known mode needs its own endpoint; the other one does not stand in
+        _fails(argv + ["--mode", "half-known-lower"], 1, out)
+        _fails(argv + ["--mode", "half-known-lower", "--upper", "2"], 1, out)
+        _fails(argv + ["--mode", "half-known-upper"], 1, out)
+        _fails(argv + ["--mode", "half-known-upper", "--lower", "-1"], 1, out)
+        # a non-finite endpoint is a usage error
+        _fails(argv + ["--mode", "half-known-upper", "--upper", "inf"], 1, out)
+    # solve has no known mode, and the naive method takes no mode
+    _fails(solve + ["--mode", "known", "--lower", "-1", "--upper", "2"], 1, out)
+    _fails(["fit", "--method", "naive", "--mode", "extremes", "--bandwidth", "0.1", "--input", data_file], 1, out)
+    capsys.readouterr()
+
+
+def test_mode_ignores_endpoints_it_does_not_take(data_file, tmp_path):
+    # proposed and extremes ignore --lower/--upper; a half-known mode ignores the other side's
+    base = ["--method", "reflection", "--bandwidth", "0.1", "--input", data_file]
+    for command in ("fit", "solve"):
+        for mode, stray in (("proposed", ["--lower", "-1"]), ("proposed", ["--lower", "nan", "--upper", "5"]),
+                            ("extremes", ["--upper", "inf"]), ("half-known-lower", ["--upper", "0.5"]),
+                            ("half-known-upper", ["--lower", "0.5"])):
+            keep = ["--lower", "-0.5"] if mode == "half-known-lower" else []
+            keep += ["--upper", "1.5"] if mode == "half-known-upper" else []
+            clean, noisy = tmp_path / "clean.json", tmp_path / "noisy.json"
+            assert run_cli([command, "--mode", mode] + base + keep + ["--output", str(clean)]) == 0
+            assert run_cli([command, "--mode", mode] + base + keep + stray + ["--output", str(noisy)]) == 0
+            assert noisy.read_bytes() == clean.read_bytes(), (command, mode, stray)
+
+
+def test_gaussian_sweeps_exhausted_exit_3(data_file, data2d_file, tmp_path, monkeypatch, capsys):
+    import supdens.solver as solver
+
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
+    out = tmp_path / "out.json"
+    base = ["--method", "reflection", "--mode", "proposed", "--kernel", "gaussian", "--bandwidth", "0.1"]
+    _fails(["solve", "--input", data_file] + base, 3, out)
+    assert "after 1 sweeps" in capsys.readouterr().err
+    _fails(["fit", "--input", data_file] + base, 3, out)
+    _fails(["joint", "--input", data2d_file, "--grid", "0:1:3", "--report", str(tmp_path / "rep.json")] + base,
+           3, out)
+    assert not (tmp_path / "rep.json").exists()
+    # the compact kernel needs one sweep and still succeeds
+    assert run_cli(["solve", "--input", data_file, "--method", "reflection", "--mode", "proposed",
+                    "--bandwidth", "0.1", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["outer_sweeps"] == 1
     capsys.readouterr()

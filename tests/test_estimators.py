@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,18 @@ def test_sample_validation():
     s = Sample([3.0, 1.0, 2.0])
     assert s.min == 1.0 and s.max == 3.0
     assert np.all(np.diff(s.values) >= 0)
+
+
+def test_subnormal_scale_row_evaluates_without_warning():
+    # the block at x = 5e-324, 1e-200 and 0.15 windows the columns of every
+    # row, so the tiny boundary-kernel scales near 0 overflow z (5e-324) or
+    # z*z inside K (1e-200) for far observations; the values are those of
+    # each point on its own
+    est = FittedEstimator(BOUNDARY_KERNEL, Sample([0.05, 0.1, 0.3, 0.5, 0.9]), 0.2,
+                          SupportInterval(0.0, 1.0), EPANECHNIKOV)
+    x = np.array([5e-324, 1e-200, 0.15])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf, cdf = est.pdf(x), est.cdf(x)
+    assert pdf.tolist() == [0.0, 0.0, 0.7777777777777779] == [est.pdf(v) for v in x]
+    assert cdf.tolist() == [0.0, 0.0, 0.3333333333333333] == [est.cdf(v) for v in x]

@@ -174,6 +174,20 @@ def test_config_errors():
         je.pdf_grid([np.linspace(0, 1, 5)])
 
 
+@pytest.mark.parametrize("d, ok", [(12, True), (51, True), (52, False)])
+def test_tensor_grid_dimension_limit(d, ok):
+    # einsum labels at most 52 axes, the d coordinates and the observations
+    rows = np.random.default_rng(49).uniform(0, 1, (6, d))
+    je = fit_joint(MultiSample(rows), 0.2, EPANECHNIKOV, REFLECTION, SupportMode.known(-0.5, 1.5))
+    axes = [np.array([0.5])] * d
+    if ok:
+        assert je.cdf_grid(axes).shape == (1,) * d
+        assert je.cdf_grid(axes).item() == je.cdf(np.full(d, 0.5))
+    else:
+        with pytest.raises(ConfigError, match="51 dimensions"):
+            je.pdf_grid(axes)
+
+
 def test_nonfinite_points_rejected():
     # the univariate terms reject a non-finite coordinate for the joint too
     ms = MultiSample(beta_rows(np.random.default_rng(49), 30))
