@@ -366,25 +366,19 @@ def _column(v):
 
 
 def _window(data: np.ndarray, p, scale, radius: float) -> tuple:
-    """Columns [a, b) of the sorted data outside which every row's z saturates: the union of `_reaches`."""
-    a, b = _reaches(data, p, scale, radius)
-    return int(a.min()), int(b.max())
+    """Columns [a, b) of the sorted data outside which |z| >= radius for every element of p and scale.
 
-
-def _reaches(data: np.ndarray, p, scale, radius: float) -> tuple:
-    """Per element of p and scale, columns [a, b) of the sorted data outside which |z| >= radius.
-
-    For j < a, z = (p - X_j)/scale >= radius, and for j >= b, z <= -radius.
-    At the kernel's saturation radius K(z) = 0 and W(z) is exactly 1 or 0
-    there; at twice it K*K(z) = 0.  Proof: the threshold below p - reach
-    (reach >= radius*scale) is strictly less than the exact p - reach, so
-    X_j at or below it makes p - X_j > reach, and rounding the difference
-    and the quotient keeps z >= radius.  The upper side is the mirror image.
+    For j < a, z = (p - X_j)/scale >= radius, and for j >= b, z <= -radius; at
+    the kernel's saturation radius K(z) = 0 and W(z) is exactly 1 or 0 there.
+    Proof: the threshold below p - reach (reach >= radius*scale) is strictly
+    less than the exact p - reach, so X_j at or below it makes p - X_j > reach,
+    and rounding the difference and the quotient keeps z >= radius.  The upper
+    side is the mirror image.
     """
     reach = np.nextafter(radius * scale, np.inf)
     a = data.searchsorted(np.nextafter(p - reach, -np.inf), "right")
     b = data.searchsorted(np.nextafter(p + reach, np.inf), "left")
-    return a, b
+    return int(a.min()), int(b.max())
 
 
 def _scaled_terms(

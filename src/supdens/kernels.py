@@ -94,17 +94,16 @@ class KernelSpec:
     ``support_radius`` is the half-width of supp(K); ``np.inf`` for the
     Gaussian.  ``saturation`` is the radius beyond which the kernel's float64
     values are exactly constant: at |z| >= saturation it must return K = 0 and
-    W = 0 (z < 0) or 1 (z > 0), and at |t| >= 2 * saturation K*K = 0.  The
-    estimators and LSCV write those constants without evaluating the kernel
-    there.  For a compact kernel it is the support radius.  The Gaussian's
-    terms vanish in float64 only through underflow: scanning the floats, the
-    last nonzero K is at z = 38.5755, the last nonzero W below 0 at
-    z = -37.6771 and the last W below 1 at z = 8.2924, and the last nonzero
-    K*K at t = 54.554.  Its saturation is 39, where the true K is 10^-330.7,
-    W(-39) is 10^-332.3 and K*K(78) is 10^-661, all orders of magnitude below
-    half the smallest subnormal (10^-323.6), and 1 - W(39) is far below half
-    an ulp of 1; so any faithfully rounded exp and ndtr return exactly 0 or 1
-    there.  ``convolution`` is always set: the closed-form K*K that
+    W = 0 (z < 0) or 1 (z > 0).  The estimators write those constants without
+    evaluating the kernel there.  For a compact kernel it is the support
+    radius.  The Gaussian's terms vanish in float64 only through underflow:
+    scanning the floats, the last nonzero K is at z = 38.5755, the last
+    nonzero W below 0 at z = -37.6771 and the last W below 1 at z = 8.2924.
+    Its saturation is 39, where the true K is 10^-330.7 and W(-39) is
+    10^-332.3, orders of magnitude below half the smallest subnormal
+    (10^-323.6), and 1 - W(39) is far below half an ulp of 1; so any
+    faithfully rounded exp and ndtr return exactly 0 or 1 there.
+    ``convolution`` is always set: the closed-form K*K that
     least-squares cross-validation sums.  ``polynomial``, when set, holds the
     coefficients in |t|, lowest degree first, of K on |t| <= support_radius
     and of K*K on |t| <= 2 * support_radius; the Gaussian has none.

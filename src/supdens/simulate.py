@@ -40,10 +40,15 @@ __all__ = [
 ]
 
 
+def _check_shapes(p: float, q: float) -> None:
+    for name, v in (("p", p), ("q", q)):
+        if not (v > 0 and math.isfinite(v)):  # NaN too
+            raise ConfigError(f"beta shape {name} must be positive and finite, got {v:g}")
+
+
 def beta_pdf(p: float, q: float, x) -> float | np.ndarray:
     """Density of Beta(p, q) on [0, 1], zero outside."""
-    if p <= 0 or q <= 0:
-        raise ConfigError("beta shape parameters must be positive")
+    _check_shapes(p, q)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(arr)
     m = (arr >= 0.0) & (arr <= 1.0)
@@ -61,8 +66,7 @@ def sample_beta(p: float, q: float, n: int, seed) -> Sample:
 
     seed may be an integer or a tuple of integers (entropy for the stream).
     """
-    if p <= 0 or q <= 0:
-        raise ConfigError("beta shape parameters must be positive")
+    _check_shapes(p, q)
     if n < 2:
         raise ConfigError("need at least two draws")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -226,8 +230,10 @@ class ExperimentSpec:
             raise ConfigError("seed must be non-negative")
         if any(n < 2 for n in self.ns):
             raise ConfigError("sample sizes must be at least 2")
-        if self.p <= 0 or self.q <= 0:
-            raise ConfigError("beta shape parameters must be positive")
+        _check_shapes(self.p, self.q)
+        bk = [m.label for m in self.methods if m.method == BOUNDARY_KERNEL]
+        if bk and not self.kernel.compact:
+            raise ConfigError(f"the {self.kernel.name} kernel has no {', '.join(bk)} columns (see --methods)")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "lscv":
                 raise ConfigError(f"bandwidth policy must be 'lscv' or a number, got {self.bandwidth!r}")

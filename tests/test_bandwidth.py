@@ -20,9 +20,31 @@ from supdens import (
 from supdens import bandwidth
 from supdens.quadrature import composite_simpson
 
-# the Epanechnikov kernel without its polynomial: LSCV then takes the row-block
-# path, whose windows `test_all_pair_sums_match_full_width_oracle` checks
-ALL_PAIRS_EPANECHNIKOV = dataclasses.replace(EPANECHNIKOV, polynomial=None)
+
+def full_width_pair_sums(y, kernel, hs):
+    """Pair sums of K and K*K over the upper triangle, every entry of every row block evaluated."""
+    n = y.size
+    rows = max(1, bandwidth.CHUNK // n)
+    out = np.zeros((2, hs.size))
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        d = y[None, i0 + 1:] - y[i0:i1, None]
+        d[:, : i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.inf
+        for k, h in enumerate(hs):
+            z = d / h
+            out[0, k] += kernel.pdf(z).sum()
+            out[1, k] += kernel.convolution(z).sum()
+    return out
+
+
+def oracle_lscv(sample, kernel, hs):
+    """LSCV from the full-width pair sums, on the data centred as `bandwidth._lscv` centres them."""
+    values = sample.values
+    n = values.size
+    with np.errstate(over="ignore", invalid="ignore"):  # far pairs at tiny h: d/h overflows to inf
+        s_k, s_kk = full_width_pair_sums(values - values[n // 2], kernel, hs)
+    k0, kk0 = float(kernel.pdf(0.0)), float(kernel.convolution(0.0))
+    return (n * kk0 + 2.0 * s_kk) / (n * n * hs) - (2.0 / n) * (2.0 * s_k / ((n - 1) * hs))
 
 
 def test_grid_validation():
@@ -133,11 +155,23 @@ def test_scale_equivariance():
 
 
 def test_window_path_rejects_a_range_that_overflows_in_bandwidths():
+    # both kernels' pair sums place the sample in bandwidth-wide windows or boxes
     s = Sample([0.0, 0.5, 1e308])
-    with pytest.raises(DataError, match="overflows"):
-        lscv_objective(s, EPANECHNIKOV, 1e-10)
-    with np.errstate(over="ignore"):  # d/h overflows to inf, where K vanishes
-        assert np.isfinite(lscv_objective(s, GAUSSIAN, 1e-10))
+    for kernel in (EPANECHNIKOV, GAUSSIAN):
+        with pytest.raises(DataError, match="overflows"):
+            lscv_objective(s, kernel, 1e-10)
+
+
+def test_kernel_without_pair_sums_is_rejected():
+    # a kernel with neither a polynomial nor the Gaussian's name has no pair sums;
+    # the dispatch reads fields, so a copy with wrapped functions keeps its path
+    s = Sample(np.random.default_rng(5).beta(3.0, 1.0, 40))
+    with pytest.raises(ConfigError, match="polynomial kernel or the Gaussian"):
+        lscv_bandwidth(s, dataclasses.replace(EPANECHNIKOV, polynomial=None))
+    for kernel in (EPANECHNIKOV, GAUSSIAN):
+        wrapped = dataclasses.replace(kernel, pdf=lambda z, f=kernel.pdf: f(z),
+                                      convolution=lambda t, f=kernel.convolution: f(t))
+        assert lscv_bandwidth(s, wrapped) == lscv_bandwidth(s, kernel)
 
 
 def test_needs_three_observations():
@@ -153,8 +187,8 @@ def test_needs_three_observations():
     shift=st.sampled_from([0.0, -3.7, 1e9, 1e12]),
 )
 def test_window_sums_match_all_pairs(seed, n, lattice, shift):
-    # Epanechnikov LSCV from window moments against the all-pairs sums, on
-    # beta(3,1) data, with ties when rounded to a lattice, and shifted.  The
+    # Epanechnikov LSCV from window moments against the full-width pair sums,
+    # on beta(3,1) data, with ties when rounded to a lattice, and shifted.  The
     # error is relative to the grid's largest |LSCV|, the scale of the
     # benchmark gate's slack: LSCV can cross zero on the grid, where a
     # pointwise relative error means nothing.
@@ -165,13 +199,38 @@ def test_window_sums_match_all_pairs(seed, n, lattice, shift):
     assume(s.std() > 0)
     cands = BandwidthGrid.default(s).candidates
     window = bandwidth._lscv(s, EPANECHNIKOV, cands)
-    pairs = bandwidth._lscv(s, ALL_PAIRS_EPANECHNIKOV, cands)
+    pairs = oracle_lscv(s, EPANECHNIKOV, cands)
     assert np.max(np.abs(window - pairs)) <= 1e-11 * np.max(np.abs(pairs))
     assert np.argmin(window) == np.argmin(pairs)
 
 
-@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN, ALL_PAIRS_EPANECHNIKOV],
-                         ids=["window", "gaussian", "all_pairs"])
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 1500),
+    lattice=st.sampled_from([0, 7, 60, 1000]),
+    shift=st.sampled_from([0.0, -3.7, 1e9, 1e12]),
+    clusters=st.booleans(),
+)
+def test_gaussian_expansion_matches_full_width_oracle(seed, n, lattice, shift, clusters):
+    # Gaussian LSCV from the box expansion against the full-width pair sums:
+    # beta(3,1) data, lattice ties, shifts, and a third of the sample 10^6
+    # away; candidates from 1e-4 of the range (a few boxes per pair) to the
+    # range (one box).  Relative to the grid's largest |LSCV|, as above.
+    x = np.random.default_rng(seed).beta(3.0, 1.0, n)
+    if lattice:
+        x = np.round(x * lattice) / lattice
+    if clusters:
+        x[: n // 3] += 1e6
+    s = Sample(x + shift)
+    assume(np.ptp(s.values) > 0)
+    cands = np.geomspace(1e-4, 1.0, 12) * np.ptp(s.values)
+    got, want = bandwidth._lscv(s, GAUSSIAN, cands), oracle_lscv(s, GAUSSIAN, cands)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.argmin(got) == np.argmin(want)
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN], ids=["window", "gaussian"])
 @pytest.mark.parametrize("n", [3, 60, 1500])
 def test_objective_is_the_value_bandwidth_compares(kernel, n):
     # lscv_objective(h) is bit for bit the value lscv_bandwidth ranks for h,
@@ -195,34 +254,34 @@ def test_window_lscv_memory_is_linear():
     assert peak < 50e6
 
 
-def full_width_pair_sums(y, kernel, hs):
-    """Pair sums of K and K*K over the upper triangle, every entry of every row block evaluated."""
-    n = y.size
-    rows = max(1, bandwidth.CHUNK // n)
-    out = np.zeros((2, hs.size))
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        d = y[None, i0 + 1:] - y[i0:i1, None]
-        d[:, : i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.inf
-        for k, h in enumerate(hs):
-            z = d / h
-            out[0, k] += kernel.pdf(z).sum()
-            out[1, k] += kernel.convolution(z).sum()
-    return out
+def test_gaussian_lscv_memory_is_linear():
+    # the box moments and each candidate's products stay O(n), as the window path's do
+    s = sample_beta(3.0, 1.0, 20000, 11)
+    tracemalloc.start()
+    try:
+        lscv_bandwidth(s, GAUSSIAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
-@pytest.mark.parametrize("kernel", [GAUSSIAN, ALL_PAIRS_EPANECHNIKOV], ids=["gaussian", "all_pairs"])
+@pytest.mark.parametrize("kernel", [GAUSSIAN], ids=["gaussian"])
 @pytest.mark.parametrize("shift", [0.0, -3.7, 1e9])
 @pytest.mark.parametrize("n, lattice", [(2, 0), (45, 0), (257, 40), (1100, 0), (1100, 60)])
 def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
-    # The windowed row blocks sum the same block arrays as the full-width
-    # oracle, bit for bit.  257 and 1100 rows are not multiples of the block
-    # height CHUNK // n, the lattice makes ties, and the candidates run from
-    # 1e-4 of the range (a window of a few columns) to the range (all of them).
+    # The expansion's all-pairs totals T = sum over i, j of exp(-(d/sigma)^2)
+    # keep the docstring's bound: every pair's term within EXPANSION_TOL, so T
+    # is within EXPANSION_TOL n^2 of the full-width sums, plus their rounding.
+    # The lattice makes ties, and the candidates run from 1e-4 of the range
+    # (pairs of boxes far apart) to the range (one box).
     x = np.random.default_rng(n + lattice).beta(3.0, 1.0, n)
     if lattice:
         x = np.round(x * lattice) / lattice
     y = np.sort(x + shift)
     y -= y[n // 2]
     hs = np.geomspace(1e-4, 1.0, 25) * (y[-1] - y[0])
-    assert np.array_equal(bandwidth._all_pair_sums(y, kernel, hs), full_width_pair_sums(y, kernel, hs))
+    s_k, s_kk = full_width_pair_sums(y, kernel, hs)
+    want = np.r_[n + 2.0 * s_k / kernel.pdf(0.0), n + 2.0 * s_kk / kernel.convolution(0.0)]
+    got = bandwidth._gauss_pair_totals(y, np.r_[np.sqrt(2.0) * hs, 2.0 * hs])
+    assert np.all(np.abs(got - want) <= bandwidth.EXPANSION_TOL * n * n + 1e-14 * want)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from supdens import simulate
 from supdens.cli import _grid_csv, run_cli
 
 
@@ -380,6 +381,33 @@ def test_simulate_option_errors(tmp_path, capsys):
     # a flag wins over the config file's bad value
     assert run_cli(sim + ["--config", str(cfg), "--format", "csv", "--output", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_simulate_nonfinite_shapes_exit_1(tmp_path, capsys):
+    # they used to run until the sampler and exit 2
+    out = tmp_path / "table.csv"
+    sim = ["simulate", "--n", "10", "--reps", "1", "--methods", "naive"]
+    _fails(sim + ["--dist", "beta:nan,1"], 1, out)
+    assert "beta shape p must be positive and finite, got nan" in capsys.readouterr().err
+    _fails(sim + ["--dist", "beta:1,inf"], 1, out)
+    assert "beta shape q must be positive and finite, got inf" in capsys.readouterr().err
+
+
+def test_simulate_gaussian_kernel(tmp_path, capsys, monkeypatch):
+    # the default bk columns need a compact kernel: exit 1 before any LSCV
+    def unreachable(*args):
+        raise AssertionError("LSCV ran before the spec was checked")
+
+    out = tmp_path / "table.csv"
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "lscv_bandwidth", unreachable)
+        _fails(["simulate", "--n", "10", "--reps", "1", "--kernel", "gaussian"], 1, out)
+    err = capsys.readouterr().err
+    assert "bk:proposed, bk:extremes" in err and "--methods" in err
+    argv = ["simulate", "--n", "100", "--reps", "2", "--kernel", "gaussian", "--methods", "naive,refl:proposed"]
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "distribution,n,naive,refl:proposed" and lines[1].startswith("beta(1,1),100,")
 
 
 def test_simulate_second_dist_drops_its_header(tmp_path):

@@ -16,7 +16,7 @@ def test_epanechnikov_values():
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN], ids=lambda k: k.name)
 def test_kernel_saturates_exactly_beyond_its_saturation_radius(kernel):
-    # the estimators and LSCV write these constants instead of evaluating the kernel
+    # the estimators write these constants instead of evaluating the kernel
     r = kernel.saturation
     z = np.concatenate([[r, np.nextafter(r, np.inf), np.nextafter(np.nextafter(r, np.inf), np.inf)],
                         np.linspace(r, 1e3, 200001), [1e300, np.inf]])

@@ -3,6 +3,7 @@ import pytest
 
 from supdens import (
     EPANECHNIKOV,
+    GAUSSIAN,
     NAIVE,
     REFLECTION,
     ConfigError,
@@ -49,6 +50,15 @@ class TestBetaPdf:
     def test_invalid_shapes(self):
         with pytest.raises(ConfigError):
             beta_pdf(0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("p, q, name", [(np.nan, 1.0, "p"), (np.inf, 2.0, "p"), (1.0, np.nan, "q"),
+                                            (2.0, np.inf, "q")])
+    def test_nonfinite_shapes_named(self, p, q, name):
+        # NaN passes p <= 0, and inf is positive; every entry point names the shape
+        for call in (lambda: beta_pdf(p, q, 0.5), lambda: sample_beta(p, q, 10, 0),
+                     lambda: ExperimentSpec(p=p, q=q)):
+            with pytest.raises(ConfigError, match=f"beta shape {name} must be positive and finite"):
+                call()
 
 
 class TestSampleBeta:
@@ -226,3 +236,11 @@ class TestRunExperiment:
         # NaN passes h <= 0; it used to reach run_experiment and fail in np.arange
         with pytest.raises(ConfigError, match="positive"):
             ExperimentSpec(bandwidth=np.nan)
+
+    def test_boundary_kernel_columns_need_a_compact_kernel(self):
+        # checked when the spec is made, not after the first replication's LSCV
+        with pytest.raises(ConfigError, match=r"no bk:proposed, bk:extremes columns \(see --methods\)"):
+            ExperimentSpec(kernel=GAUSSIAN)
+        methods = tuple(m for m in TABLE_METHODS if m.method != "boundary_kernel")
+        res = run_experiment(ExperimentSpec(ns=(30,), reps=2, kernel=GAUSSIAN, methods=methods))
+        assert [c.method for c in res.cells] == ["naive", "refl:proposed", "refl:extremes"]
