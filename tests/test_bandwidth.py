@@ -20,6 +20,12 @@ from supdens import (
 from supdens import bandwidth
 from supdens.quadrature import composite_simpson
 
+# the Gaussian, whose pair sums are totals over all pairs, as a copy with
+# wrapped functions (as benchmarks/tracing.py passes kernels): LSCV dispatches
+# on the spec's fields, so the copy takes the expansion too
+ALL_PAIRS_GAUSSIAN = dataclasses.replace(GAUSSIAN, pdf=lambda z: GAUSSIAN.pdf(z),
+                                         convolution=lambda t: GAUSSIAN.convolution(t))
+
 
 def full_width_pair_sums(y, kernel, hs):
     """Pair sums of K and K*K over the upper triangle, every entry of every row block evaluated."""
@@ -230,16 +236,19 @@ def test_gaussian_expansion_matches_full_width_oracle(seed, n, lattice, shift, c
     assert np.argmin(got) == np.argmin(want)
 
 
-@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN], ids=["window", "gaussian"])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN, ALL_PAIRS_GAUSSIAN],
+                         ids=["window", "gaussian", "all_pairs"])
 @pytest.mark.parametrize("n", [3, 60, 1500])
 def test_objective_is_the_value_bandwidth_compares(kernel, n):
     # lscv_objective(h) is bit for bit the value lscv_bandwidth ranks for h,
-    # whichever candidates share its chunk
+    # whichever candidates share its chunk; the wrapped copy ranks the same bits
     s = Sample(np.random.default_rng(n).beta(3.0, 1.0, n) + 1e9 * (n == 60))
     cands = BandwidthGrid.default(s).candidates
     compared = bandwidth._lscv(s, kernel, cands)
     assert np.array_equal(compared, [lscv_objective(s, kernel, float(h)) for h in cands])
     assert lscv_bandwidth(s, kernel) == cands[np.argmin(compared)]
+    if kernel is ALL_PAIRS_GAUSSIAN:
+        assert np.array_equal(compared, bandwidth._lscv(s, GAUSSIAN, cands))
 
 
 def test_window_lscv_memory_is_linear():
@@ -266,15 +275,18 @@ def test_gaussian_lscv_memory_is_linear():
     assert peak < 50e6
 
 
-@pytest.mark.parametrize("kernel", [GAUSSIAN], ids=["gaussian"])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "all_pairs"])
 @pytest.mark.parametrize("shift", [0.0, -3.7, 1e9])
 @pytest.mark.parametrize("n, lattice", [(2, 0), (45, 0), (257, 40), (1100, 0), (1100, 60)])
 def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
-    # The expansion's all-pairs totals T = sum over i, j of exp(-(d/sigma)^2)
-    # keep the docstring's bound: every pair's term within EXPANSION_TOL, so T
-    # is within EXPANSION_TOL n^2 of the full-width sums, plus their rounding.
-    # The lattice makes ties, and the candidates run from 1e-4 of the range
-    # (pairs of boxes far apart) to the range (one box).
+    # Each path's sums over all pairs against the full-width sums.  gaussian:
+    # the expansion's totals T = sum over i, j of exp(-(d/sigma)^2) keep the
+    # docstring's bound, every pair's term within EXPANSION_TOL, so T is within
+    # EXPANSION_TOL n^2 of the full-width sums, plus their rounding.  all_pairs:
+    # the window moments' S_K and S_KK over i < j, whose every term is O(1), so
+    # within a few ulps a pair (1e-14 is 45).  The lattice makes ties, and the
+    # candidates run from 1e-4 of the range (pairs far apart in boxes or
+    # windows) to the range (one box, every pair in reach).
     x = np.random.default_rng(n + lattice).beta(3.0, 1.0, n)
     if lattice:
         x = np.round(x * lattice) / lattice
@@ -282,6 +294,10 @@ def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
     y -= y[n // 2]
     hs = np.geomspace(1e-4, 1.0, 25) * (y[-1] - y[0])
     s_k, s_kk = full_width_pair_sums(y, kernel, hs)
+    if kernel.polynomial is not None:
+        got = bandwidth._window_pair_sums(y, kernel, hs)
+        assert np.all(np.abs(got - [s_k, s_kk]) <= 1e-14 * n * n)
+        return
     want = np.r_[n + 2.0 * s_k / kernel.pdf(0.0), n + 2.0 * s_kk / kernel.convolution(0.0)]
     got = bandwidth._gauss_pair_totals(y, np.r_[np.sqrt(2.0) * hs, 2.0 * hs])
     assert np.all(np.abs(got - want) <= bandwidth.EXPANSION_TOL * n * n + 1e-14 * want)
