@@ -15,20 +15,25 @@ No n x n matrix is built; the kernel decides how the pair sums are formed
 - the Gaussian sums exp(-(d/sigma)^2) over all pairs, sigma = sqrt(2) h for K
   and 2 h for K*K, by a fast Gauss transform (Greengard & Strain 1991; Raykar
   & Duraiswami 2006 select bandwidths with it), each pair's term within 1e-15:
-  0.01 s at n = 100, 0.07 s at 10^4 and 0.5 s at 10^5;
+  0.01 s at n = 100, 0.07 s at 10^4 and 0.5 s at 10^5.  Its box moments,
+  Hermite recurrence and term counts are those of the Gaussian evaluation's
+  transform (`estimators._gauss_sums`);
 - any other kernel is a ConfigError.
+
+A chunk of candidates holds about CHUNK array entries: n per candidate in the
+window path, and n plus TERMS moments per box in the Gaussian's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, factorial, lgamma, log, sqrt
+from math import comb, log, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DataError
-from .estimators import Sample
+from .estimators import _WIDEST, CHUNK, EXPANSION_TOL, Sample, _box_moments, _box_width, _chunks, _hermite
 from .kernels import KernelSpec
 
 __all__ = ["BandwidthGrid", "lscv_bandwidth", "lscv_objective"]
@@ -73,14 +78,9 @@ class BandwidthGrid:
         return cls(np.geomspace(lo, hi, DEFAULT_POINTS))
 
 
-#: Float64 entries per working array: the window path takes candidates, and the
-#: Gaussian path points and box products, in chunks of about 2^16 (moments: TERMS per box).
-CHUNK = 1 << 16
-
-#: Gaussian pair sums (`_gauss_pair_totals`); GEMM_ROWS boxes per product start no BLAS
-#: threads, and _WIDEST[p] is the widest box that p terms serve by Cramér's bound.
-BOX, EXPANSION_TOL, GEMM_ROWS = 1.0, 1e-15, 8
-_WIDEST = np.array([0.0] + [sqrt(0.5) * exp((log(EXPANSION_TOL / 1.09) + lgamma(p + 1) / 2) / p) for p in range(1, 64)])
+#: Gaussian pair sums (`_gauss_pair_totals`): boxes at most BOX sigma wide, whose
+#: moments need TERMS terms, and GEMM_ROWS boxes per product, which start no BLAS threads.
+BOX, GEMM_ROWS = 1.0, 8
 TERMS = int(np.searchsorted(_WIDEST, BOX))
 
 
@@ -157,24 +157,14 @@ def _gauss_pair_totals(y: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     own boxes in fixed blocks, whatever shares its chunk.
     """
     c, n = sigmas.size, y.size
-    s = np.ldexp(1.0, np.frexp(BOX * sigmas)[1] - 1)[:, None]
+    s = _box_width(BOX * sigmas)[:, None]
     w = s[:, 0] / sigmas
     terms, reach = np.searchsorted(_WIDEST, w), np.ceil(sqrt(-log(EXPANSION_TOL)) / w).astype(np.intp)
-    box = np.floor(y / s)
-    u = (y - box * s - 0.5 * s) / sigmas[:, None]  # y - box * s is exact: s is a power of 2
-    starts = np.flatnonzero(np.diff(box, axis=1, prepend=np.nan) != 0)
-    owner, box = starts // n, box.ravel()[starts]
-    moments = np.empty((starts.size, TERMS))
-    power, u = np.ones(c * n), u.ravel()
-    for a in range(TERMS):
-        moments[:, a] = np.add.reduceat(power, starts) / factorial(a)
-        power *= u
-    # herm[m, k, d] = (-1)^m m! g_m(d w_k) = H_m(D) exp(-D^2), by H_(m+1) = 2 D H_m - 2 m H_(m-1)
+    starts, box, moments = _box_moments(y, s, sigmas[:, None], TERMS)
+    owner = starts // n
+    # herm[m, k, d] = (-1)^m m! g_m(d w_k) = H_m(D) exp(-D^2), zero for m >= TERMS
     D = np.arange(reach.max() + 1) * w[:, None]
-    herm = np.zeros((2 * TERMS - 1,) + D.shape)
-    herm[0] = np.exp(-D * D)
-    for m in range(TERMS - 1):
-        herm[m + 1] = 2.0 * (D * herm[m] - m * herm[m - 1])  # herm[-1] is 0 at m = 0
+    herm = np.concatenate([_hermite(D, TERMS), np.zeros((TERMS - 1,) + D.shape)])
     herm[np.arange(2 * TERMS - 1)[:, None] >= terms] = 0.0  # so the products keep a + c < p
     # box pairs lo < hi of one sigma, at most its reach apart, ordered by hi
     near = [np.flatnonzero((owner[e:] == owner[:-e]) & (box[e:] - box[:-e] <= reach[owner[e:]]))
@@ -220,15 +210,17 @@ def _lscv(sample: Sample, kernel: KernelSpec, hs: np.ndarray) -> np.ndarray:
         spread = 2.0 * (y[-1] - y[0]) / hs.min()  # Gaussian boxes can be h/sqrt(2) wide
     if not np.isfinite(spread):
         raise DataError("the sample range in bandwidths overflows; the pair sums need it finite")
-    step = max(1, CHUNK // n)
-    chunked = lambda f, xs: np.concatenate([f(xs[i:i + step]) for i in range(0, xs.size, step)], axis=-1)  # noqa: E731
+    chunked = lambda f, xs, cost: np.concatenate([f(xs[i:j]) for i, j in _chunks(cost, CHUNK)], axis=-1)  # noqa: E731
     k0, kk0 = (float(f(np.zeros(1))[0]) for f in (kernel.pdf, kernel.convolution))
     if kernel.polynomial is not None:
-        s_k, s_kk = chunked(lambda c: _window_pair_sums(y, kernel, c), hs)
+        s_k, s_kk = chunked(lambda c: _window_pair_sums(y, kernel, c), hs, np.full(hs.size, n))
         int_f2 = (n * kk0 + 2.0 * s_kk) / (n * n * hs)
         loo = 2.0 * s_k / ((n - 1) * hs)
     elif kernel.name == "gaussian":  # K(z) = K(0) exp(-(z/sqrt 2)^2), (K*K)(t) = (K*K)(0) exp(-(t/2)^2)
-        t_k, t_kk = chunked(lambda c: _gauss_pair_totals(y, c), np.r_[sqrt(2.0) * hs, 2.0 * hs]).reshape(2, -1)
+        sigmas = np.r_[sqrt(2.0) * hs, 2.0 * hs]
+        s = _box_width(BOX * sigmas)
+        boxes = np.minimum(n, np.floor(y[-1] / s) - np.floor(y[0] / s) + 1)  # at most, per sigma
+        t_k, t_kk = chunked(lambda c: _gauss_pair_totals(y, c), sigmas, n + TERMS * boxes).reshape(2, -1)
         int_f2 = kk0 * t_kk / (n * n * hs)
         loo = k0 * (t_k - n) / ((n - 1) * hs)
     else:

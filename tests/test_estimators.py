@@ -260,11 +260,14 @@ def test_row_blocks_match_row_by_row_terms(method, kernel):
     ("naive", EPANECHNIKOV), ("naive", GAUSSIAN), ("reflection", EPANECHNIKOV),
     ("reflection", GAUSSIAN), ("boundary_kernel", EPANECHNIKOV),
 ], ids=lambda v: getattr(v, "name", v))
-@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 1], ids=["default_chunk", "block_chunk"])
+@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 700 * BLOCK_ROWS, 700 * 5 + 3],
+                         ids=["default_chunk", "block_chunk", "capped_chunk"])
 def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatch):
-    # pdf, cdf and evaluate_grid reduce one chunk of rows at a time (with
-    # chunk = 1, one BLOCK_ROWS block); the values must be the row means of
-    # the whole term matrix, bit for bit
+    # pdf, cdf and evaluate_grid reduce one chunk of MEAN_CHUNK // n rows at a
+    # time (block_chunk: one BLOCK_ROWS block; capped_chunk: blocks and chunks
+    # of 5 rows); the values must be the row means of the whole term matrix,
+    # bit for bit, and for the Gaussian, whose means come from a transform,
+    # within EVAL_TOL (the pdf's times h)
     monkeypatch.setattr(estimators, "MEAN_CHUNK", chunk)
     rng = np.random.default_rng(15)
     l, u = -0.4, 1.3
@@ -273,8 +276,15 @@ def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatc
     est = FittedEstimator(method, sample, h, UNBOUNDED if method == NAIVE else support, kernel)
     edges = [l, u, l + h, u - h, np.nextafter(l + h, l), np.nextafter(u - h, u)]
     xs = np.concatenate([edges, rng.uniform(l - 0.3, u + 0.3, BLOCK_ROWS + 43 - len(edges))])
-    pdf, cdf = pdf_terms(est, xs).mean(axis=1), cdf_terms(est, xs).mean(axis=1)
-    assert np.array_equal(est.pdf(xs), pdf) and np.array_equal(est.cdf(xs), cdf)
+    pdf_matrix, cdf_matrix = pdf_terms(est, xs), cdf_terms(est, xs)
+    assert np.array_equal(pdf_matrix, np.vstack([pdf_terms(est, xs[k:k + 1]) for k in range(xs.size)]))
+    pdf, cdf = pdf_matrix.mean(axis=1), cdf_matrix.mean(axis=1)
+    got_pdf, got_cdf = est.pdf(xs), est.cdf(xs)
+    if kernel is GAUSSIAN:
+        assert np.all(np.abs(got_pdf - pdf) * h <= estimators.EVAL_TOL)
+        assert np.all(np.abs(got_cdf - cdf) <= estimators.EVAL_TOL)
+        pdf, cdf = got_pdf, got_cdf
+    assert np.array_equal(got_pdf, pdf) and np.array_equal(got_cdf, cdf)
     grid = evaluate_grid(est, xs)
     assert np.array_equal(grid[:, 1], pdf) and np.array_equal(grid[:, 2], cdf)
     assert est.pdf(float(xs[7])) == pdf[7] and est.cdf(float(xs[7])) == cdf[7]

@@ -201,11 +201,13 @@ def test_nonfinite_points_rejected():
 
 @pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 1], ids=["default_chunk", "block_chunk"])
+@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 300 * BLOCK_ROWS, 300 * 5 + 3],
+                         ids=["default_chunk", "block_chunk", "capped_chunk"])
 def test_chunked_means_equal_product_matrix_means(method, d, chunk, monkeypatch):
-    # pdf and cdf reduce one chunk of rows at a time (with chunk = 1, one
-    # BLOCK_ROWS block); the values must be the row means of the whole
-    # per-observation product matrix, bit for bit
+    # pdf and cdf reduce one chunk of MEAN_CHUNK // n rows at a time
+    # (block_chunk: one BLOCK_ROWS block; capped_chunk: 5 rows); the values
+    # must be the row means of the whole per-observation product matrix, bit
+    # for bit
     monkeypatch.setattr(estimators, "MEAN_CHUNK", chunk)
     rng = np.random.default_rng(50 + d)
     ms, h = MultiSample(beta_rows(rng, 300, d)), 0.13

@@ -7,7 +7,14 @@ constants elsewhere.  The oracle here evaluates every (point, observation)
 pair with the same per-term functions, so any column the window wrongly
 leaves out shows as a changed bit.  Gaussian bandwidths are drawn small
 enough that the window is often narrower than the sample.
+
+The Gaussian pdf, cdf and evaluate_grid come from a fast Gauss transform
+instead of the terms, so they match the oracle's row means within the
+transform's stated bound, `estimators.EVAL_TOL` (the pdf's times h); every
+other mean, and every term, matches bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +33,10 @@ from supdens import (
     SupportInterval,
     SupportMode,
     evaluate_grid,
+    fit,
     fit_joint,
 )
-from supdens.estimators import _reflection_terms, _scaled_terms, _window, cdf_terms, pdf_terms
+from supdens.estimators import EVAL_TOL, _reflection_terms, _scaled_terms, _window, cdf_terms, pdf_terms
 
 
 def oracle_terms(est, x, data, pdf):
@@ -52,6 +60,14 @@ def oracle_terms(est, x, data, pdf):
     ):
         out[rows] = _scaled_terms(kernel, pdf, x[rows, None], data, scale[rows, None], slope)
     return out
+
+
+def assert_means(est, got, want, pdf):
+    """got equals the row means want: bit for bit, or for the Gaussian within EVAL_TOL (pdf: EVAL_TOL / h)."""
+    if est.kernel.name != "gaussian":
+        assert np.array_equal(got, want)
+        return
+    assert np.all(np.abs(got - want) <= (EVAL_TOL / est.h if pdf else EVAL_TOL))
 
 
 _kernel_method = st.sampled_from([
@@ -110,8 +126,8 @@ def test_univariate_terms_match_full_width_oracle(data):
         want = oracle_terms(est, pts, est.sample.values, pdf)
         assert np.array_equal(terms(est, pts), want)
         assert np.array_equal(terms(est, pts, raw), oracle_terms(est, pts, raw, pdf))
-        assert np.array_equal(evaluate(pts), want.mean(axis=1))
-        assert np.array_equal(evaluate_grid(est, pts)[:, col], want.mean(axis=1))
+        assert_means(est, evaluate(pts), want.mean(axis=1), pdf)
+        assert np.array_equal(evaluate_grid(est, pts)[:, col], evaluate(pts))
 
 
 @settings(deadline=None, max_examples=60)
@@ -170,7 +186,7 @@ def test_gaussian_window_narrower_than_the_sample(method):
         want = oracle_terms(est, pts, est.sample.values, pdf)
         assert np.array_equal(terms(est, pts), want)
         assert np.array_equal(terms(est, pts, values), oracle_terms(est, pts, values, pdf))
-        assert np.array_equal(evaluate(pts), want.mean(axis=1))
+        assert_means(est, evaluate(pts), want.mean(axis=1), pdf)
 
 
 def test_gaussian_joint_window_narrower_than_the_sample():
@@ -181,3 +197,126 @@ def test_gaussian_joint_window_narrower_than_the_sample():
     pts = rng.uniform(-0.05, 1.05, (300, 2))
     pts[:100] = cols[:100] + GAUSSIAN.saturation * _NARROW_H * rng.choice([-1.0, 1.0], (100, 2))
     _check_joint(je, cols, pts, axes)
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian pdf, cdf and evaluate_grid by the fast Gauss transform
+# ---------------------------------------------------------------------------
+
+_SHIFT = 1e9  # lattice points below 2 and their mirrors stay exact at this shift
+
+
+def _gaussian_fit(method, values, l, u, h, shift=0.0):
+    support = SupportInterval(-np.inf, np.inf) if method == NAIVE else SupportInterval(l + shift, u + shift)
+    return FittedEstimator(method, Sample(values + shift), h, support, GAUSSIAN)
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data())
+def test_gaussian_transform_matches_full_width_oracle(data):
+    # Lattice data with ties (n down to 1), bandwidths from 1e-4 of the
+    # support's length (every point its own box, most far apart) to half of
+    # it, and points at l, u, the mirror points and past X_max + 38h, where
+    # the window path saturates.  The 1/32 lattice, the dyadic support and
+    # lattice points make the 1e9 shift exact, so the shifted fit's values are
+    # the unshifted ones bit for bit.
+    draw = data.draw
+    method = draw(st.sampled_from([NAIVE, REFLECTION]))
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 300))
+    values = _column(draw, n, 0.0)
+    l = values.min() - draw(st.sampled_from([0.0, 1.0 / 64.0, 0.25]))
+    u = values.max() + draw(st.sampled_from([0.0, 1.0 / 64.0, 0.25]))
+    u = max(u, l + 0.125)
+    h = (u - l) * 10.0 ** draw(st.sampled_from([-4.0, np.log10(0.5)]) | st.floats(-4.0, np.log10(0.5)))
+    est = _gaussian_fit(method, values, l, u, h)
+    lattice = np.concatenate([[l, u], values, 2.0 * l - values, 2.0 * u - values, 2.0 * u - l - values,
+                              np.array(draw(st.lists(st.integers(-1024, 2048), max_size=40))) / 1024.0])
+    r = GAUSSIAN.saturation
+    far = np.concatenate([[l - h, u + h], values.max() + np.array([r - 1.0, r, 45.0, 1e6]) * h,
+                          values.min() - np.array([r - 1.0, r, 45.0]) * h,
+                          draw(st.lists(st.floats(l - 3 * h, u + 3 * h), max_size=40))])
+    pts = np.concatenate([lattice, far, np.nextafter(lattice[:2], -np.inf), np.nextafter(lattice[:2], np.inf)])
+    pts = pts[np.array(draw(st.permutations(range(pts.size))), dtype=int)]
+    pdf, cdf = est.pdf(pts), est.cdf(pts)
+    for got, pdf_side in ((pdf, True), (cdf, False)):
+        assert_means(est, got, oracle_terms(est, pts, est.sample.values, pdf_side).mean(axis=1), pdf_side)
+    grid = evaluate_grid(est, pts)
+    assert np.array_equal(grid[:, 1], pdf) and np.array_equal(grid[:, 2], cdf)
+    shifted = _gaussian_fit(method, values, l, u, h, _SHIFT)
+    on = np.isin(pts, lattice)
+    assert np.array_equal(shifted.pdf(pts[on] + _SHIFT), pdf[on])
+    assert np.array_equal(shifted.cdf(pts[on] + _SHIFT), cdf[on])
+
+
+@pytest.mark.parametrize("gap", [2.0 ** 20 + 0.5, 2.0 ** 30 + 0.5])
+def test_gaussian_transform_on_two_far_clusters(gap):
+    # box edges are exact in data units, so a cluster far from the other (and
+    # from the median) keeps its coordinates to the rounding of u and D;
+    # differences from a median near 1 would straddle a power of 2 and round
+    # to two different spacings, 1e-8 bandwidths apart
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.beta(3.0, 1.0, 200), gap + rng.beta(3.0, 1.0, 150)])
+    est = FittedEstimator(NAIVE, Sample(values), 0.01, SupportInterval(-np.inf, np.inf), GAUSSIAN)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, 200), gap + rng.uniform(0.0, 1.0, 200)])
+    for got, pdf in ((est.pdf(pts), True), (est.cdf(pts), False)):
+        assert_means(est, got, oracle_terms(est, pts, est.sample.values, pdf).mean(axis=1), pdf)
+
+
+def _beta_fit(method, n, h, seed=5):
+    values = np.random.default_rng(seed).beta(3.0, 1.0, n)
+    return _gaussian_fit(method, values, 0.0, 1.0, h)
+
+
+@pytest.mark.parametrize("h", [0.0118, 0.3, 1e-4])
+def test_gaussian_reflection_cdf_at_the_lower_end_is_zero(h):
+    # x = l and its mirror 2l - x are the same target, as are 2u - l and 2u - x
+    est = _beta_fit(REFLECTION, 400, h)
+    assert est.cdf(0.0) == 0.0 and est.cdf(np.array([0.5, 0.0, 1.0]))[1] == 0.0
+    assert evaluate_grid(est, [0.0, 1.0])[0, 2] == 0.0
+    fitted, _ = fit(est.sample, 0.05, GAUSSIAN, REFLECTION, SupportMode.proposed())
+    assert fitted.cdf(fitted.support.lower) == 0.0
+
+
+@pytest.mark.parametrize("method", [NAIVE, REFLECTION])
+def test_gaussian_values_stay_in_range_deep_in_the_tails(method):
+    # where every term is all but saturated, or the reflection cdf's two
+    # differences all but cancel (a subnormal distance above l = 0 at a wide
+    # bandwidth), the rounding could leave a pdf below 0 or a cdf outside
+    # [0, 1]; both are clipped (at h = 0.45 the unclipped cdf reaches -1.2e-17)
+    for h in (0.002, 0.0118, 0.1, 0.45):
+        est = _beta_fit(method, 300, h)
+        lo, hi = est.sample.min, est.sample.max
+        offsets = np.linspace(5.0, 60.0, 500) * h
+        ends = np.concatenate([5e-324 * np.arange(100), np.linspace(0.0, 1e-6, 200), 1.0 - np.linspace(0.0, 1e-6, 200)])
+        pts = np.concatenate([lo - offsets, hi + offsets, ends, [-1e300, 1e300]])
+        if method == REFLECTION:
+            pts = np.clip(pts, 0.0, 1.0)
+        pdf, cdf = est.pdf(pts), est.cdf(pts)
+        assert np.all(pdf >= 0.0) and np.all((cdf >= 0.0) & (cdf <= 1.0))
+
+
+@pytest.mark.parametrize("method", [NAIVE, REFLECTION])
+def test_gaussian_value_depends_on_the_point_alone(method):
+    # each target's coefficients add its source boxes in a fixed order, so a
+    # point's value is the same whatever else is evaluated with it
+    est = _beta_fit(method, 2000, 0.0118)
+    xs = np.random.default_rng(8).uniform(-0.1, 1.1, 150)
+    xs[:4] = [0.0, 1.0, est.sample.min, est.sample.max]
+    pdf, cdf = est.pdf(xs), est.cdf(xs)
+    assert all(est.pdf(x) == p and est.cdf(x) == c for x, p, c in zip(xs, pdf, cdf))
+    assert np.array_equal(est.cdf(xs[::-1]), cdf[::-1])
+
+
+@pytest.mark.parametrize("h", [0.02, 1e-5])
+def test_gaussian_eval_memory_is_linear(h):
+    # n = 2 * 10^5: a BLOCK_ROWS block of full rows alone was 205 MB; h = 1e-5
+    # puts most points in boxes of their own
+    est = _beta_fit(REFLECTION, 200_000, h)
+    grid = np.linspace(-0.1, 1.1, 4001)
+    tracemalloc.start()
+    try:
+        evaluate_grid(est, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
