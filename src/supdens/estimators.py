@@ -35,10 +35,14 @@ its method, bandwidth, support and kernel when it is built; evaluation is
 pure and thread-safe.  The per-observation term functions (`cdf_terms`,
 `pdf_terms`) return the (m, n) matrices whose row means are cdf/pdf values,
 filled in blocks of at most `BLOCK_ROWS` points and MEAN_CHUNK // n rows.
-The Epanechnikov `pdf`, `cdf` and `evaluate_grid`, and the multivariate
-product-form estimator, reduce through `_row_means`, which takes the row
-means of one chunk of about MEAN_CHUNK = 2^20 terms at a time, so no caller
-holds the whole matrix.
+The Epanechnikov `pdf`, `cdf` and `evaluate_grid` reduce through
+`_row_means`, which takes the row means of one chunk of about
+MEAN_CHUNK = 2^20 terms at a time, so no caller holds the whole matrix.
+The multivariate product-form estimator (`joint`) takes no row means: at
+scattered points it evaluates the terms only at the (point, observation)
+pairs inside a coordinate's windows (`_reach`) and counts the pairs whose
+terms are exactly 1, and its tensor grids multiply term matrices of about
+MEAN_CHUNK terms at a time.
 
 A term is saturated (K = 0, and W exactly 0 or 1) wherever |x - X_i| >=
 s(x) times the kernel's saturation radius: the support radius of a compact
@@ -278,7 +282,8 @@ def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bo
     return out
 
 
-#: Terms per chunk of rows that `_row_means` reduces at once (at least one row).
+#: Terms per chunk of rows that `_row_means` reduces at once (at least one row),
+#: and per chunk of observations of the joint's tensor-grid term matrices.
 #: A chunk of 2^20 terms (8 MB) lets glibc's allocator keep the block temporaries
 #: in its heap.  With BLOCK_ROWS-row chunks it returned them to the system after
 #: each block: a 4001-point eval at n = 2000 took 46k page faults and 1.8x the
@@ -390,19 +395,25 @@ def _column(v):
 
 
 def _window(data: np.ndarray, p, scale, radius: float) -> tuple:
-    """Columns [a, b) of the sorted data outside which |z| >= radius for every element of p and scale.
+    """Columns [a, b) of the sorted data outside which |z| >= radius for every element of p and scale."""
+    a, b = _reach(data, p, scale, radius)
+    return int(a.min()), int(b.max())
+
+
+def _reach(data: np.ndarray, p, scale, radius: float) -> tuple:
+    """Per element of p and scale, the columns [a, b) of the sorted data outside which |z| >= radius.
 
     For j < a, z = (p - X_j)/scale >= radius, and for j >= b, z <= -radius; at
     the kernel's saturation radius K(z) = 0 and W(z) is exactly 1 or 0 there.
     Proof: the threshold below p - reach (reach >= radius*scale) is strictly
     less than the exact p - reach, so X_j at or below it makes p - X_j > reach,
     and rounding the difference and the quotient keeps z >= radius.  The upper
-    side is the mirror image.
+    side is the mirror image.  At one scale, a and b do not decrease as p grows.
     """
     reach = np.nextafter(radius * scale, np.inf)
     a = data.searchsorted(np.nextafter(p - reach, -np.inf), "right")
     b = data.searchsorted(np.nextafter(p + reach, np.inf), "left")
-    return int(a.min()), int(b.max())
+    return a, b
 
 
 def _scaled_terms(
@@ -411,6 +422,7 @@ def _scaled_terms(
     """W(z), or its x-derivative K(z)(1 - slope*z)/scale, at z = (x - X_i)/scale.
 
     scale is s(x) and slope is ds/dx: s = h with slope 0 is the naive term.
+    slope may also be an array of one value per element; a 0 there leaves K(z)/scale.
     """
     # A subnormal scale can overflow z, or z*z inside K, for far observations.
     # That z lies beyond the saturation radius, where W is exactly 0 or 1, K is
@@ -420,7 +432,7 @@ def _scaled_terms(
         if not pdf:
             return kernel.cdf(z)
         k = kernel.pdf(z)
-    if slope:
+    if isinstance(slope, np.ndarray) or slope:
         # K(z) = 0 beyond the saturation radius, where z may be infinite near
         # an endpoint; clipping z there keeps 0 * inf from making NaN
         r = kernel.saturation

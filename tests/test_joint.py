@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from supdens import (
     BOUNDARY_KERNEL,
     EPANECHNIKOV,
+    GAUSSIAN,
     REFLECTION,
     ConfigError,
     DataError,
@@ -17,13 +19,36 @@ from supdens import (
     joint_cdf,
     joint_pdf,
 )
-from supdens import estimators
+from supdens import joint
 from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
 from supdens.quadrature import simpson_weights
 
 
 def beta_rows(rng, n, d=2):
     return np.column_stack([rng.uniform(0, 1, n) for _ in range(d)])
+
+
+def assert_row_means(got, products, clip=False):
+    """got is within the joint's stated bound of the exact row means of the products.
+
+    The bound is (k + 2) eps times the row's mean |product|, k the number of
+    nonzero products in the row; math.fsum gives the exact sum rounded once.
+    """
+    n = products.shape[-1]
+    rows = products.reshape(-1, n)
+    want = np.array([math.fsum(row) for row in rows]) / n
+    if clip:
+        want = np.clip(want, 0.0, 1.0)
+    bound = (np.count_nonzero(rows, axis=1) + 2) * np.finfo(float).eps * np.mean(np.abs(rows), axis=1)
+    assert np.all(np.abs(np.ravel(got) - want) <= bound), np.max(np.abs(np.ravel(got) - want) - bound)
+
+
+# the joint's kernels and methods; the first two keep their test ids from
+# before the Gaussian reflection was added
+KERNEL_METHODS = [(EPANECHNIKOV, REFLECTION), (EPANECHNIKOV, BOUNDARY_KERNEL), (GAUSSIAN, REFLECTION)]
+_KERNEL_METHODS = pytest.mark.parametrize(
+    "kernel, method", KERNEL_METHODS, ids=[REFLECTION, BOUNDARY_KERNEL, "gaussian_reflection"]
+)
 
 
 def test_multisample_validation():
@@ -56,30 +81,45 @@ def test_d1_reduces_to_univariate():
     assert np.allclose(got_cdf, est.cdf(xs), atol=1e-15, rtol=0)
 
 
-@pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
-def test_marginalization_identity(method):
+@_KERNEL_METHODS
+def test_marginalization_identity(kernel, method):
+    # every coordinate but j above its upper endpoint: the joint cdf is
+    # marginal j's, summed in another order
     rng = np.random.default_rng(41)
-    ms = MultiSample(beta_rows(rng, 120))
-    je = fit_joint(ms, [0.12, 0.15], EPANECHNIKOV, method, SupportMode.proposed())
-    (l1, u1), (l2, u2) = je.rectangle
-    for xj in [0.2, 0.5, 0.9]:
-        full = joint_cdf(je, [xj, u2 + 7.0])
-        marg = je.marginals[0].cdf(xj)
-        assert abs(full - marg) < 1e-12
-        full2 = joint_cdf(je, [u1 + 3.0, xj])
-        marg2 = je.marginals[1].cdf(xj)
-        assert abs(full2 - marg2) < 1e-12
+    for d in (2, 3):
+        ms = MultiSample(beta_rows(rng, 120, d))
+        je = fit_joint(ms, [0.12, 0.15, 0.1][:d], kernel, method, SupportMode.proposed())
+        above = np.array([u for _, u in je.rectangle]) + 7.0
+        for j in range(d):
+            pts = np.tile(above, (3, 1))
+            pts[:, j] = [0.2, 0.5, 0.9]
+            assert np.all(np.abs(joint_cdf(je, pts) - je.marginals[j].cdf(pts[:, j])) <= 1e-12)
 
 
 def test_upper_corner_and_clamping():
+    # the run count is exact: every term above an upper endpoint is exactly
+    # 1 and every term below a lower one exactly 0, and reflection's terms at
+    # its lower endpoint are exactly 0 too; at the upper corner each compact
+    # kernel term is exactly 1
     rng = np.random.default_rng(42)
-    ms = MultiSample(beta_rows(rng, 150))
-    je = fit_joint(ms, 0.12, EPANECHNIKOV, REFLECTION, SupportMode.proposed())
-    corner = [je.rectangle[0][1], je.rectangle[1][1]]
-    assert joint_cdf(je, corner) >= 1.0 - 1e-9
-    assert joint_cdf(je, [je.rectangle[0][0] - 0.1, 0.5]) == 0.0
-    assert joint_pdf(je, [je.rectangle[0][0] - 0.1, 0.5]) == 0.0
-    assert joint_pdf(je, [2.0, 2.0]) == 0.0
+    for (kernel, method), d in itertools.product(KERNEL_METHODS, (2, 3)):
+        ms = MultiSample(beta_rows(rng, 150, d))
+        je = fit_joint(ms, 0.12, kernel, method, SupportMode.proposed())
+        lower, upper = np.array(je.rectangle).T
+        middle = (lower + upper) / 2.0
+        ones = [upper + 0.1, upper + 1e-9]
+        if kernel.compact:
+            ones += [upper, np.where(np.arange(d) % 2 == 0, upper, upper + 3.0)]
+        assert np.all(joint_cdf(je, np.array(ones)) == 1.0)
+        for j in range(d):
+            pts = np.array([middle, upper, upper + 1.0])
+            pts[:, j] = lower[j]
+            assert np.all(joint_cdf(je, pts) == 0.0)
+            pts[:, j] = lower[j] - 0.1
+            assert np.all(joint_cdf(je, pts) == 0.0) and np.all(joint_pdf(je, pts) == 0.0)
+        assert joint_pdf(je, np.full(d, 2.0)) == 0.0
+        grid = je.cdf_grid([np.array([lower[j], upper[j] + 1.0]) for j in range(d)]).ravel()
+        assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
 @pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
@@ -174,18 +214,18 @@ def test_config_errors():
         je.pdf_grid([np.linspace(0, 1, 5)])
 
 
-@pytest.mark.parametrize("d, ok", [(12, True), (51, True), (52, False)])
-def test_tensor_grid_dimension_limit(d, ok):
-    # einsum labels at most 52 axes, the d coordinates and the observations
+@pytest.mark.parametrize("d", [12, 51, 52])
+def test_tensor_grid_dimension_limit(d):
+    # the grid takes any d: 52 axes were past the einsum this path replaced
     rows = np.random.default_rng(49).uniform(0, 1, (6, d))
     je = fit_joint(MultiSample(rows), 0.2, EPANECHNIKOV, REFLECTION, SupportMode.known(-0.5, 1.5))
     axes = [np.array([0.5])] * d
-    if ok:
-        assert je.cdf_grid(axes).shape == (1,) * d
-        assert je.cdf_grid(axes).item() == je.cdf(np.full(d, 0.5))
-    else:
-        with pytest.raises(ConfigError, match="51 dimensions"):
-            je.pdf_grid(axes)
+    for grid, terms, point in ((je.cdf_grid, cdf_terms, je.cdf), (je.pdf_grid, pdf_terms, je.pdf)):
+        value = grid(axes)
+        assert value.shape == (1,) * d
+        products = np.prod([terms(je.marginals[j], axes[j], rows[:, j]) for j in range(d)], axis=0)
+        assert_row_means(value, products, clip=terms is cdf_terms)
+        assert_row_means(point(np.full(d, 0.5)), products, clip=terms is cdf_terms)
 
 
 def test_nonfinite_points_rejected():
@@ -201,14 +241,14 @@ def test_nonfinite_points_rejected():
 
 @pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 300 * BLOCK_ROWS, 300 * 5 + 3],
-                         ids=["default_chunk", "block_chunk", "capped_chunk"])
+@pytest.mark.parametrize("chunk", [joint.CHUNK, 300 * 5, 1], ids=["default_chunk", "block_chunk", "capped_chunk"])
 def test_chunked_means_equal_product_matrix_means(method, d, chunk, monkeypatch):
-    # pdf and cdf reduce one chunk of MEAN_CHUNK // n rows at a time
-    # (block_chunk: one BLOCK_ROWS block; capped_chunk: 5 rows); the values
-    # must be the row means of the whole per-observation product matrix, bit
-    # for bit
-    monkeypatch.setattr(estimators, "MEAN_CHUNK", chunk)
+    # pdf and cdf take the points in chunks of about CHUNK candidates
+    # (block_chunk: a few points a chunk; capped_chunk: one); the values
+    # must be the row means of the whole per-observation product matrix
+    # within the stated bound, and a point's value must not depend on the
+    # points evaluated with it
+    monkeypatch.setattr(joint, "CHUNK", chunk)
     rng = np.random.default_rng(50 + d)
     ms, h = MultiSample(beta_rows(rng, 300, d)), 0.13
     je = fit_joint(ms, h, EPANECHNIKOV, method, SupportMode.proposed())
@@ -226,9 +266,10 @@ def test_chunked_means_equal_product_matrix_means(method, d, chunk, monkeypatch)
         prod = np.ones((xs.shape[0], ms.n))
         for j in range(d):
             prod *= terms(je.marginals[j], xs[:, j], ms.rows[:, j])
-        want = np.clip(prod.mean(axis=1), 0.0, 1.0) if clip else prod.mean(axis=1)
-        assert np.array_equal(evaluate(xs), want)
-        assert evaluate(xs[3]) == want[3]
+        got = evaluate(xs)
+        assert_row_means(got, prod, clip)
+        assert evaluate(xs[3]) == got[3]
+        assert np.array_equal(evaluate(xs[::-1]), got[::-1])
 
 
 @pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])

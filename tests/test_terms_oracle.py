@@ -11,7 +11,10 @@ enough that the window is often narrower than the sample.
 The Gaussian pdf, cdf and evaluate_grid come from a fast Gauss transform
 instead of the terms, so they match the oracle's row means within the
 transform's stated bound, `estimators.EVAL_TOL` (the pdf's times h); every
-other mean, and every term, matches bit for bit.
+other univariate mean, and every term, matches bit for bit.  The joint sums
+the window terms apart from an exact count, so its values match the math.fsum
+means of the oracle's product rows within the joint's stated bound, and the
+terms it evaluates, and the exact 0s and 1s it does not, match bit for bit.
 """
 
 import tracemalloc
@@ -37,6 +40,8 @@ from supdens import (
     fit_joint,
 )
 from supdens.estimators import EVAL_TOL, _reflection_terms, _scaled_terms, _window, cdf_terms, pdf_terms
+from supdens.joint import _inside, _layout
+from test_joint import assert_row_means
 
 
 def oracle_terms(est, x, data, pdf):
@@ -152,20 +157,53 @@ def test_joint_matches_full_width_oracle(data):
 
 
 def _check_joint(je, cols, pts, axes):
-    """The joint's pdf, cdf and tensor grids at the points and axes equal the oracle's bit for bit."""
+    """The joint's pdf, cdf and tensor grids at the points and axes against the oracle.
+
+    Values: within (k + 2) eps times the row's mean |product| of the fsum
+    mean, k the number of nonzero products.  Rank groups: every term in a
+    run is exactly 1, every term outside the runs and spans exactly 0, and
+    the terms in the spans are the oracle's bit for bit.
+    """
     n, d = cols.shape
-    letters = "abc"[:d]
-    sub = ",".join(f"{c}z" for c in letters) + "->" + letters
     for pdf, evaluate, grid in ((True, je.pdf, je.pdf_grid), (False, je.cdf, je.cdf_grid)):
         prod = oracle_terms(je.marginals[0], pts[:, 0], cols[:, 0], pdf)
         for j in range(1, d):
             prod *= oracle_terms(je.marginals[j], pts[:, j], cols[:, j], pdf)
+        got = evaluate(pts)
+        assert_row_means(got, prod, clip=not pdf)
+        assert all(evaluate(pts[k]) == got[k] for k in range(0, pts.shape[0], 37))
         mats = [oracle_terms(je.marginals[j], axes[j], cols[:, j], pdf) for j in range(d)]
-        want, want_grid = prod.mean(axis=1), np.einsum(sub, *mats) / n
-        if not pdf:
-            want, want_grid = np.clip(want, 0.0, 1.0), np.clip(want_grid, 0.0, 1.0)
-        assert np.array_equal(evaluate(pts), want)
-        assert np.array_equal(grid(axes), want_grid)
+        grid_prod = mats[0].reshape(mats[0].shape[:1] + (1,) * (d - 1) + (n,))
+        for j in range(1, d):
+            grid_prod = grid_prod * mats[j].reshape((1,) * j + mats[j].shape[:1] + (1,) * (d - 1 - j) + (n,))
+        assert_row_means(grid(axes), grid_prod, clip=not pdf)
+        for j in range(d):
+            _check_layout(je, j, pts[:, j], pdf)
+
+
+def _check_layout(je, j, x, pdf):
+    """Coordinate j's rank groups at the points x, checked on every (point, rank) pair.
+
+    The groups must split the ranks (the cover being the run and the spans),
+    the oracle's terms must be exactly 1 in the run and 0 outside the groups,
+    and the layout's terms in the spans the oracle's bit for bit.
+    """
+    est, data = je.marginals[j], je.sorted[j]
+    layout = _layout(est, data, x, pdf)
+    want = oracle_terms(est, x, data, pdf).ravel()
+    q, r = np.repeat(np.arange(x.size), data.size), np.tile(np.arange(data.size), x.size)
+    at = lambda v: v[q]  # noqa: E731
+    in_run = _inside(r, [layout.run], at)
+    in_spans = sum(_inside(r, [span], at).astype(int) for span in layout.spans)
+    assert np.all(in_spans + in_run <= 1)
+    in_spans = in_spans.astype(bool)
+    assert np.array_equal(_inside(r, layout.cover, at), in_run | in_spans)
+    assert np.all(want[in_run] == 1.0)
+    assert np.all(want[~in_run & ~in_spans] == 0.0)
+    assert np.array_equal(layout.terms(q[in_spans], r[in_spans]), want[in_spans])
+    # a (points, ranks) block evaluates every pair, and keeps those in the spans
+    block = layout.terms(np.arange(x.size)[:, None], np.arange(data.size))
+    assert np.array_equal(block.ravel()[in_spans], want[in_spans])
 
 
 # beta(3,1) data on [0, 1] with h = 0.002: the Gaussian's window of 39h = 0.078
