@@ -32,9 +32,12 @@ the candidates of coordinate 0's spans that lie in every other
 coordinate's span.  The kernel is thus evaluated only at pairs in some
 window, and the count compares the ranks of the observations in coordinate
 0's runs, at most m n d integer comparisons.  Points go in chunks of about
-CHUNK candidates; a block of points that share one span (a window as wide
-as the sample, as the Gaussian's often is) is evaluated as a (points,
-ranks) array.
+CHUNK candidates and run ranks, and a chunk's runs are counted in boxes of
+at most CHUNK (point, rank) pairs or one point's run, so the working arrays
+stay near CHUNK entries however the points' runs and spans lie.  Points of
+a chunk that share one span (a window as wide as the sample, as the
+Gaussian's often is) form a (points, ranks) block, whose terms broadcast
+from the points' column.
 
 Tensor grids.  With T_j = terms(axis_j, X_j), the per-axis (m_j, n) term
 matrices, the grid is the Khatri-Rao product of T_0 ... T_(d-2), formed
@@ -83,6 +86,7 @@ from .estimators import (
     _reach,
     _reflection_points,
     _reflection_sum,
+    _reflection_terms,
     _scaled_terms,
     cdf_terms,
     pdf_terms,
@@ -205,18 +209,27 @@ class JointEstimator:
         return out
 
     def _run_count(self, layouts, counted: np.ndarray) -> np.ndarray:
-        """The exact number of observations in every coordinate's run, at the counted points."""
+        """The exact number of observations in every coordinate's run, at the counted points.
+
+        The points go in consecutive groups, each counted on one dense box: its
+        points by the coordinate-0 ranks from their lowest run start to their
+        highest run end.  A group grows while its box holds at most CHUNK
+        entries, or is one point, whose box is its own run.
+        """
         out = np.zeros(counted.size)
         idx = np.flatnonzero(counted)
-        if idx.size:
-            at = lambda v: v[idx, None]  # noqa: E731
-            start, width = layouts[0].run
-            a, b = int(start[idx].min()), int((start + width)[idx].max())
-            inside = _inside(np.arange(a, b), [layouts[0].run], at)
-            obs = self.order[0][a:b]
+        start, width = layouts[0].run
+        while idx.size:
+            # the first k points' box is k times the ranks their runs spread over
+            lo, hi = np.minimum.accumulate(start[idx]), np.maximum.accumulate((start + width)[idx])
+            k = max(1, int((np.arange(1, idx.size + 1) * (hi - lo)).searchsorted(CHUNK, "right")))
+            p, idx, ranks = idx[:k], idx[k:], np.arange(lo[k - 1], hi[k - 1])
+            at = lambda v: v[p, None]  # noqa: E731
+            inside = _inside(ranks, [layouts[0].run], at)
+            obs = self.order[0][ranks]
             for j in range(1, self.d):
                 inside &= _inside(self.ranks[j][obs], [layouts[j].run], at)
-            out[idx] = np.count_nonzero(inside, axis=1)
+            out[p] = np.count_nonzero(inside, axis=1)
         return out
 
     def _candidate_sum(self, layouts, takes: np.ndarray) -> np.ndarray:
@@ -234,7 +247,10 @@ class JointEstimator:
                 if not pts.size:
                     continue
                 if np.ptp(start[pts]) == 0 and np.ptp(lengths[pts]) == 0:
-                    # the same ranks at every point: a (points, ranks) block
+                    # the same ranks at every point: a (points, ranks) block, whose terms
+                    # broadcast from the points' column; the flat form gathers each
+                    # entry's point, and on the Gaussian joint at n = 2000 took 1.3-1.7x
+                    # the time of the product blocks it replaces (BENCH_joint.json)
                     q, r = pts[:, None], start[pts[0]] + np.arange(lengths[pts[0]])
                     sums[pts] += np.cumsum(self._block_products(layouts, k, q, r), axis=1)[:, -1]
                 else:
@@ -351,28 +367,24 @@ class _Layout:
             return _scaled_terms(est.kernel, pdf, self.x[q], self.data[r], self.scale[q], self.slope[q])
         plain = self.plain[q]
         if q.ndim > 1 or plain.all() or not plain.any():
-            return _reflection_at(est, pdf, self.x[q], self.data[r], mirrors=not plain.all())
+            return _reflection_at(est, pdf, self.x[q], self.data[r], plain.all())
         out = np.empty(q.size)
-        for rows, mirrors in ((np.flatnonzero(plain), False), (np.flatnonzero(~plain), True)):
-            out[rows] = _reflection_at(est, pdf, self.x[q[rows]], self.data[r[rows]], mirrors)
+        for rows, each in ((np.flatnonzero(plain), True), (np.flatnonzero(~plain), False)):
+            out[rows] = _reflection_at(est, pdf, self.x[q[rows]], self.data[r[rows]], each)
         return out
 
 
-def _reflection_at(est: FittedEstimator, pdf: bool, x: np.ndarray, data: np.ndarray, mirrors: bool) -> np.ndarray:
+def _reflection_at(est: FittedEstimator, pdf: bool, x: np.ndarray, data: np.ndarray, plain: bool) -> np.ndarray:
     """Reflection terms of the observations data at the points x, elementwise, as `_reflection_terms` forms them.
 
-    Without mirrors the points are plain (see `_layout`): the mirrors' terms
-    are their saturated constants, 0 at 2l - x and, for the cdf, 1 above u.
+    At plain points (see `_layout`) the mirrors' windows are empty, and their
+    terms are the saturated constants: 0 at 2l - x and, for the cdf, 1 above u.
     """
-    points = _reflection_points(pdf, x, est.support.lower, est.support.upper)
-    saturated = (0.0, 0.0, 1.0, 1.0) if not pdf else (0.0, 0.0, 0.0)
-
-    def term(k):
-        if k == 0 or mirrors:
-            return _scaled_terms(est.kernel, pdf, points[k], data, est.h)
-        return saturated[k]
-
-    return _reflection_sum(pdf, term)
+    l, u = est.support.lower, est.support.upper
+    if not plain:
+        return _reflection_terms(est.kernel, pdf, x, data, est.h, l, u)
+    saturated = (None, 0.0, 0.0) if pdf else (None, 0.0, 1.0, 1.0)
+    return _reflection_sum(pdf, lambda k: saturated[k] if k else _scaled_terms(est.kernel, pdf, x, data, est.h))
 
 
 def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) -> _Layout:

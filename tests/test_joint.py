@@ -288,3 +288,26 @@ def test_point_evaluation_holds_no_full_matrix(method):
         finally:
             tracemalloc.stop()
         assert peak < 40e6, f"{evaluate.__name__}: tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_run_count_holds_each_points_own_run():
+    # in coordinate-0 order, 200 counted points with short runs (x0 just above
+    # l + h) share a chunk with a point above u, whose run holds all n ranks;
+    # the count's boxes hold at most joint.CHUNK (point, rank) pairs or that
+    # one point's run, where one box of the points by the union of their runs
+    # would hold 4e6
+    rng = np.random.default_rng(61)
+    n, m = 20000, 200
+    ms = MultiSample(beta_rows(rng, n))
+    je = fit_joint(ms, 0.01, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.known(0.0, 1.0))
+    xs = np.vstack([np.column_stack([rng.uniform(0.0105, 0.012, m), rng.uniform(0.4, 0.6, m)]), [1.5, 0.5]])
+    tracemalloc.start()
+    try:
+        got = je.cdf(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    sel = np.r_[0:5, m]
+    products = cdf_terms(je.marginals[0], xs[sel, 0], ms.rows[:, 0]) * cdf_terms(je.marginals[1], xs[sel, 1], ms.rows[:, 1])
+    assert_row_means(got[sel], products, clip=True)
