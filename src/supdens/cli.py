@@ -52,30 +52,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_csv(path: str, columns: Optional[int] = None) -> np.ndarray:
-    """Headerless CSV of finite reals; returns an (n, d) array."""
+    """Headerless CSV of finite reals; returns an (n, d) array.
+
+    Blank lines are skipped.  An error names the first bad line, whether a
+    cell is not a number or not finite, as a row-by-row check would.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows: List[List[float]] = []
+    numbers: List[int] = []  # the line number of each row
+    not_a_number = None
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cells = line.split(",")
         try:
-            row = [float(c) for c in cells]
+            rows.append([float(c) for c in line.split(",")])
         except ValueError:
-            raise DataError(f"{path}:{i}: not a number: {line!r}") from None
-        if not all(np.isfinite(row)):
-            raise DataError(f"{path}:{i}: non-finite value")
-        rows.append(row)
+            not_a_number = DataError(f"{path}:{i}: not a number: {line!r}")
+            break
+        numbers.append(i)
+    widths = [len(r) for r in rows]
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=sum(widths))
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise DataError(f"{path}:{np.repeat(numbers, widths)[np.argmin(finite)]}: non-finite value")
+    if not_a_number is not None:
+        raise not_a_number
     if not rows:
         raise DataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    arr = np.asarray(rows, dtype=float)
+    if len(set(widths)) != 1:
+        raise DataError(f"{path}: ragged rows (widths {sorted(set(widths))})")
+    arr = flat.reshape(len(rows), widths[0])
     if columns is not None and arr.shape[1] != columns:
         raise DataError(f"{path}: expected {columns} column(s), found {arr.shape[1]}")
     return arr
@@ -136,15 +146,28 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+#: Rows per %-format in `_grid_csv`, so that the tuple of one block's labels
+#: and values, not the whole grid's, is alive at once.
+_CSV_ROWS = 4096
+
+
 def _grid_csv(rows: np.ndarray, header: str, labels=None) -> str:
     """The header, then per row its label (if given) and its values, as `_fmt` writes them."""
-    # one %-format per row writes each value as format(v, ".17g") does, at a
-    # fraction of the per-value calls
-    fmt = ",".join(["%.17g"] * rows.shape[1])
-    lines = (fmt % tuple(row.tolist()) for row in rows)
+    # one %-format per block of rows writes each value as format(v, ".17g")
+    # does, at a fraction of the per-value (or per-row) calls
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     if labels is not None:
-        lines = (f"{label},{line}" for label, line in zip(labels, lines))
-    return "\n".join([header, *lines]) + "\n"
+        line, labels = "%s," + line, iter(labels)
+    parts = [header + "\n"]
+    for start in range(0, rows.shape[0], _CSV_ROWS):
+        block = rows[start : start + _CSV_ROWS]
+        values = block.ravel().tolist()
+        if labels is not None:
+            # each row's label, then its values; islice takes this block's labels only
+            columns = (column.tolist() for column in block.T)
+            values = itertools.chain.from_iterable(zip(itertools.islice(labels, len(block)), *columns))
+        parts.append((line * len(block)) % tuple(values))
+    return "".join(parts)
 
 
 # -- subcommand handlers --------------------------------------------------------

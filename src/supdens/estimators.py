@@ -34,26 +34,31 @@ Every estimator is one frozen dataclass, `FittedEstimator`, which checks
 its method, bandwidth, support and kernel when it is built; evaluation is
 pure and thread-safe.  The per-observation term functions (`cdf_terms`,
 `pdf_terms`) return the (m, n) matrices whose row means are cdf/pdf values,
-filled in blocks of at most `BLOCK_ROWS` points and MEAN_CHUNK // n rows.
-The Epanechnikov `pdf`, `cdf` and `evaluate_grid` reduce through
-`_row_means`, which takes the row means of one chunk of about
-MEAN_CHUNK = 2^20 terms at a time, so no caller holds the whole matrix.
-The multivariate product-form estimator (`joint`) takes no row means: at
-scattered points it evaluates the terms only at the (point, observation)
-pairs inside a coordinate's windows (`_reach`) and counts the pairs whose
-terms are exactly 1, and its tensor grids multiply term matrices of about
-MEAN_CHUNK terms at a time.
+filled in blocks of at most `BLOCK_ROWS` points and MEAN_CHUNK // n rows;
+the joint's tensor grids and the tests use them.
 
 A term is saturated (K = 0, and W exactly 0 or 1) wherever |x - X_i| >=
 s(x) times the kernel's saturation radius: the support radius of a compact
 kernel, and for the Gaussian the point (39) beyond which its float64 values
-underflow to exactly 0 or round to exactly 1.  Blocks take the points in
-sorted order, and each piece of a term (the naive point x, each reflection
-mirror, each boundary-kernel scale) evaluates the kernel only on the sorted
-columns that `searchsorted` finds in reach of the block; every other column
-gets the saturated constant.  Evaluating m points then costs the kernel
-evaluations of the pairs in reach plus an O(m n) fill and row mean, and
-every term is bit for bit the one the kernel gives.
+underflow to exactly 0 or round to exactly 1.  Each piece of a term (the
+naive point x, each reflection mirror, each boundary-kernel scale) has a
+window of sorted columns, found by `searchsorted` (`_reach`), outside which
+its terms are saturated.  The term matrices evaluate the kernel only in the
+windows and write the saturated constants elsewhere, bit for bit the terms
+the kernel gives.  The `pdf`, `cdf` and `evaluate_grid` of a compact kernel
+form no matrix (`_window_estimates`): a value is the exact count of the
+columns below each piece's window, whose cdf terms are exactly 1, plus the
+sum of the terms inside it, so m points cost O(m (w + log n)) for windows
+of w columns, and the working arrays hold about WINDOW_CHUNK entries.  Each
+value is within (k + 5) eps times the mean |term| of the exact mean, k the
+window terms it sums; reflection's cdf(l) = 0 and cdf(u) = 1 stay exact.
+On a 2-CPU x86_64 VM a 4001-point reflection `evaluate_grid` on beta(3,1)
+data with LSCV bandwidths takes 5 ms at n = 10^3, 0.03 s at n = 10^5 and
+0.08 s at n = 10^6, where term blocks and their row means took 0.016, 1.0
+and 8.6 s (BENCH_window.json).  The solver's reflection objective goes
+through the same sums.  The multivariate product-form estimator (`joint`)
+likewise evaluates the terms only at the (point, observation) pairs inside
+a coordinate's windows and counts the pairs whose terms are exactly 1.
 
 The Gaussian's window of 39 bandwidths covers most of a sample at the
 bandwidths LSCV picks, so its `pdf`, `cdf` and `evaluate_grid` form no
@@ -215,7 +220,8 @@ def _evaluate(est: FittedEstimator, x, pdf: bool = True, cdf: bool = True) -> li
     xs = np.asarray(x, dtype=float).ravel()
     if est.kernel.name == "gaussian" and _boxes_exact(est):
         return [v for v, want in zip(_gauss_estimates(est, xs), (pdf, cdf)) if want]
-    return [_term_means(terms, est, xs) for terms, want in ((pdf_terms, pdf), (cdf_terms, cdf)) if want]
+    l, u = est.support.lower, est.support.upper
+    return _window_estimates(est.kernel, est.method, est.sample.values, est.h, l, u, xs, pdf, cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +288,120 @@ def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bo
     return out
 
 
-#: Terms per chunk of rows that `_row_means` reduces at once (at least one row),
-#: and per chunk of observations of the joint's tensor-grid term matrices.
-#: A chunk of 2^20 terms (8 MB) lets glibc's allocator keep the block temporaries
-#: in its heap.  With BLOCK_ROWS-row chunks it returned them to the system after
-#: each block: a 4001-point eval at n = 2000 took 46k page faults and 1.8x the
-#: time of one whole-matrix eval.  Above n = 2^20 / BLOCK_ROWS = 8192 a chunk,
-#: and a block, have fewer than BLOCK_ROWS rows.
+#: Terms per block of `cdf_terms`/`pdf_terms` rows (at least one row), and per
+#: chunk of observations of the joint's tensor-grid term matrices.  Above
+#: n = 2^20 / BLOCK_ROWS = 8192 a block has fewer than BLOCK_ROWS rows.
 MEAN_CHUNK = 1 << 20
 
 
-def _row_means(block, m: int, n: int) -> np.ndarray:
-    """Row means of an (m, n) term matrix, one chunk of MEAN_CHUNK terms at a time.
+#: Window entries per chunk of `_piece_sums`.  Its working arrays, about ten of
+#: this length, stay in a 2-CPU x86_64 VM's L2 cache: a 4001-point reflection
+#: `evaluate_grid` on beta(3,1) data took 4.3 ms at n = 2000 (h = 0.0097) and
+#: 19 ms at n = 10^5 (h = 0.0019) with 2^14 entries a chunk, against 6.7 and
+#: 32 ms with 2^16 (BENCH_window.json).
+WINDOW_CHUNK = 1 << 14
 
-    block(rows) returns the matrix's rows for a slice of row indices.  Only one
-    chunk exists at once, and each mean is the whole matrix's row mean bit for bit.
+
+def _window_estimates(
+    kernel: KernelSpec, method: str, data: np.ndarray, h: float, l: float, u: float, x: np.ndarray,
+    pdf: bool = True, cdf: bool = True,
+) -> list:
+    """The pdf and/or cdf at the points x, in that order, from exact counts and window sums.
+
+    data is the sorted sample and [l, u] the support (naive ignores it).  A
+    value sums the terms of its pieces: the naive point x; reflection's x,
+    2l - x, 2u - l and 2u - x (the pdf takes x, 2l - x and 2u - x); the
+    boundary kernel's x at its one scale.  Below its window [a, b) (`_reach`)
+    a piece's cdf terms are exactly 1 and from b on exactly 0, and its pdf
+    terms are 0 outside, so a piece adds the exact count a (cdf only) and the
+    sum of its b - a window terms (`_piece_sums`); no (m, n) block is formed.
+    Reflection combines the counts as integers, (a_0 - a_1) + (a_2 - a_3),
+    and the window sums in `_reflection_sum`'s order.  At x = l the pieces x
+    and 2l - x, and 2u - l and 2u - x, are the same arrays, so cdf(l) is
+    exactly 0; at x = u, for a compact kernel with h <= (u - l)/2, the pieces
+    x and 2u - x are, 2l - x counts 0 and 2u - l counts n, so cdf(u) is
+    exactly 1.  The cdf is clipped to [0, 1].  A point's value does not
+    depend on the other points evaluated with it.
+
+    Tolerance: every term is bit for bit the one `cdf_terms`/`pdf_terms` form,
+    and each value is within (k + 5) eps M of the exact mean of the rounded
+    full-width terms, k the number of window terms summed for the point over
+    its pieces and M the mean over the observations of the sum of the
+    pieces' |terms| (the row's mean |term| for naive and the boundary kernel).
+    Each window sum of k_p terms is within (k_p - 1) eps/2 of the sum of its
+    magnitudes; combining the pieces, adding the count and dividing by n
+    round five times at most, and a full-width row rounds its terms' three
+    combinations once each.
     """
-    out = np.empty(m)
-    step = max(1, MEAN_CHUNK // n)
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
-        out[rows] = block(rows).mean(axis=1)
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise DataError("evaluation points must be finite")
+    n = data.size
+    pdf_out, cdf_out = np.zeros(x.size), np.zeros(x.size)
+    if method == NAIVE:
+        rows, points, scale, slope = slice(None), x, h, 0.0
+    elif method == REFLECTION:
+        cdf_out[x > u] = 1.0
+        rows = ((x >= l) & (x <= u)).nonzero()[0]
+        points, scale, slope = np.empty((4, rows.size)), h, 0.0
+        for k, p in enumerate(_reflection_points(False, x[rows], l, u)):
+            points[k] = p
+    else:
+        # the rows `_fill_block` gives each scale: x - l on (l, l+h), h on
+        # [l+h, u-h) and u - x on [u-h, u), u - x winning should they overlap
+        cdf_out[x >= u] = 1.0
+        left, right = (x > l) & (x < l + h) & (x < u - h), (x >= u - h) & (x < u)
+        rows = (left | right | ((x >= l + h) & (x < u - h))).nonzero()[0]
+        points = x[rows]
+        left, right = left[rows], right[rows]
+        scale = np.where(left, points - l, np.where(right, u - points, h))
+        slope = np.where(left, 1.0, np.where(right, -1.0, 0.0))
+    counts, pdf_sums, cdf_sums = _piece_sums(kernel, data, points.ravel(), scale, slope, pdf, cdf)
+    if method == REFLECTION:
+        # one row per piece x, 2l - x, 2u - l, 2u - x; the pdf takes rows 0, 1 and 3
+        counts = counts.reshape(4, -1)
+        if pdf:
+            by_piece = pdf_sums.reshape(4, -1)
+            pdf_sums = _reflection_sum(True, lambda k: by_piece[(0, 1, 3)[k]])
+        if cdf:
+            by_piece = cdf_sums.reshape(4, -1)
+            counts, cdf_sums = _reflection_sum(False, counts.__getitem__), _reflection_sum(False, by_piece.__getitem__)
+    out = []
+    if pdf:
+        pdf_out[rows] = pdf_sums / n
+        out.append(pdf_out)
+    if cdf:
+        cdf_out[rows] = np.minimum(np.maximum((counts + cdf_sums) / n, 0.0), 1.0)
+        out.append(cdf_out)
     return out
 
 
-def _term_means(terms, est: FittedEstimator, x) -> np.ndarray:
-    """Row means of terms(est, x): the estimator's values at the points x."""
-    xs = np.asarray(x, dtype=float).ravel()
-    return _row_means(lambda rows: terms(est, xs[rows]), xs.size, est.sample.n)
+def _piece_sums(kernel: KernelSpec, data: np.ndarray, p: np.ndarray, scale, slope, pdf: bool, cdf: bool) -> tuple:
+    """(a, pdf sums, cdf sums) of the pieces p with their scales and slopes (scalars or one per piece).
+
+    a is each piece's `_reach` window start, the count of its cdf terms that
+    are exactly 1; the sums are those of its `_scaled_terms` over its window,
+    None where not asked for.  The windows are laid end to end in one ragged
+    array of about WINDOW_CHUNK entries at a time (or one window) and summed
+    per piece by reduceat.
+    """
+    a, b = _reach(data, p, scale, kernel.saturation)
+    sizes = b - a
+    sums = [np.zeros(p.size) if want else None for want in (pdf, cdf)]
+    filled = sizes.nonzero()[0]
+    for i, j in _chunks(sizes[filled], WINDOW_CHUNK):
+        k = filled[i:j]
+        size = sizes[k]
+        starts = size.cumsum() - size
+
+        def spread(v):
+            return v[k].repeat(size) if isinstance(v, np.ndarray) else v
+
+        args = spread(p), data[_ranges(a[k], size)], spread(scale), spread(slope)
+        for out, want_pdf in zip(sums, (True, False)):
+            if out is not None:
+                out[k] = np.add.reduceat(_scaled_terms(kernel, want_pdf, *args), starts)
+    return a, sums[0], sums[1]
 
 
 def _fill_block(

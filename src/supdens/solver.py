@@ -62,7 +62,9 @@ from .estimators import (
     Sample,
     SupportInterval,
     _check_contains,
-    _reflection_terms,
+    _piece_sums,
+    _reflection_points,
+    _reflection_sum,
 )
 from .kernels import KernelSpec
 
@@ -211,14 +213,21 @@ def _bk_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other:
 
 
 def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float):
-    """(g, e, h, target, None): Fhat(e) at z = 0, h = 1 and the other endpoint at (other - e)/h."""
+    """(g, e, h, target, None): Fhat(e) at z = 0, h = 1 and the other endpoint at (other - e)/h.
+
+    Fhat(e) is the reflection cdf as `estimators._window_estimates` forms it at
+    the one point z = 0, which lies in [l, u]: its four pieces' exact counts
+    and window sums, combined in `_reflection_sum`'s order, over n (unclipped).
+    """
     e, target = _extreme_and_target(data, s)
     z = (data - e) / h
     o = (other - e) / h
 
     def g(d: float) -> float:
         l, u = (o, d) if s > 0 else (-d, o)
-        return s * (float(_reflection_terms(kernel, False, 0.0, z, 1.0, l, u).mean()) - target)
+        counts, _, sums = _piece_sums(kernel, z, np.array(_reflection_points(False, 0.0, l, u)), 1.0, 0.0, False, True)
+        cdf = (_reflection_sum(False, counts.__getitem__) + _reflection_sum(False, sums.__getitem__)) / z.size
+        return s * (float(cdf) - target)
 
     return g, e, h, target, None
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from supdens import simulate
+from supdens import cli, simulate
 from supdens.cli import _grid_csv, run_cli
 
 
@@ -191,7 +192,7 @@ def test_joint_grid_output(data2d_file, tmp_path):
     assert out.read_text() == expected
 
 
-def test_grid_csv_writes_each_value_as_format_17g():
+def test_grid_csv_writes_each_value_as_format_17g(monkeypatch):
     rows = np.array([
         [-0.0, 1.0, 5e-324, 1.7976931348623157e308],
         [0.1, -2.5e-310, 1e22, 123456789012345680.0],
@@ -203,6 +204,20 @@ def test_grid_csv_writes_each_value_as_format_17g():
     assert labelled == "x,a,b\n" + "".join(
         f"{label}," + ",".join(format(v, ".17g") for v in row) + "\n" for label, row in zip("pqr", rows[:, :2])
     )
+    # the body is one %-format per block of rows over the labels and values
+    # interleaved: every width, blocks of 3 rows and of the default size,
+    # with and without labels (given as an iterator, as `joint` does)
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rows.ravel(), [-1.0, -5e-324, 2.2250738585072014e-308, -123.456],
+                             rng.standard_normal(50) * 10.0 ** rng.integers(-320, 300, 50)])
+    for width, block_rows in itertools.product((1, 2, 3, 5), (3, cli._CSV_ROWS)):
+        monkeypatch.setattr(cli, "_CSV_ROWS", block_rows)
+        block = np.resize(values, (values.size // width + 1, width))
+        labels = [f"p{k}" for k in range(block.shape[0])]
+        lines = [",".join(format(v, ".17g") for v in row) + "\n" for row in block]
+        assert _grid_csv(block, "h") == "h\n" + "".join(lines)
+        assert _grid_csv(block, "h", iter(labels)) == "h\n" + "".join(f"{p},{line}" for p, line in zip(labels, lines))
+        assert _grid_csv(block[:0], "h") == _grid_csv(block[:0], "h", iter([])) == "h\n"
 
 
 def test_exit_codes(tmp_path, data_file, capsys):
@@ -334,6 +349,21 @@ def test_read_csv_paths(tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
         _fails(fit + [str(path)], 2, out)
+    # the first bad line is named, counting the blank lines skipped, whichever
+    # of "not a number" and "non-finite" it is
+    lines = {
+        "blank-nonfinite.csv": ("\n0.1\n  \n\n0.4,-inf\n0.5\nx\n", ":5: non-finite value"),
+        "blank-nan.csv": ("0.1\n\nnan\n\ninf\n", ":3: non-finite value"),
+        "word-first.csv": ("\n0.1\n\nabc\ninf\n", ":4: not a number: 'abc'"),
+        "nonfinite-ragged.csv": ("0.1,0.2\n\n0.3\n1e400,0.5\n", ":4: non-finite value"),
+        "nonfinite-blank-last.csv": ("0.1\n0.2\n-inf\n\n", ":3: non-finite value"),
+    }
+    for name, (text, message) in lines.items():
+        path = tmp_path / name
+        path.write_text(text)
+        capsys.readouterr()
+        _fails(fit + [str(path)], 2, out)
+        assert f"data error: {path}{message}\n" == capsys.readouterr().err, name
     # joint takes any width but still rejects ragged and empty files
     for name in ("ragged.csv", "empty.csv"):
         _fails(["joint", "--input", str(tmp_path / name), "--method", "reflection", "--mode", "proposed",

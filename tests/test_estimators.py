@@ -19,6 +19,7 @@ from supdens import (
 from supdens import estimators
 from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
 from supdens.quadrature import composite_simpson
+from test_terms_oracle import assert_window_means
 
 UNBOUNDED = SupportInterval(-np.inf, np.inf)
 
@@ -263,12 +264,15 @@ def test_row_blocks_match_row_by_row_terms(method, kernel):
 @pytest.mark.parametrize("chunk", [estimators.MEAN_CHUNK, 700 * BLOCK_ROWS, 700 * 5 + 3],
                          ids=["default_chunk", "block_chunk", "capped_chunk"])
 def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatch):
-    # pdf, cdf and evaluate_grid reduce one chunk of MEAN_CHUNK // n rows at a
-    # time (block_chunk: one BLOCK_ROWS block; capped_chunk: blocks and chunks
-    # of 5 rows); the values must be the row means of the whole term matrix,
-    # bit for bit, and for the Gaussian, whose means come from a transform,
-    # within EVAL_TOL (the pdf's times h)
+    # pdf_terms/cdf_terms fill blocks of MEAN_CHUNK // n rows (block_chunk: one
+    # BLOCK_ROWS block; capped_chunk: blocks of 5 rows), and pdf, cdf and
+    # evaluate_grid sum the windows WINDOW_CHUNK = chunk / 64 entries at a time
+    # (2^14 by default, then a few windows or one a chunk).  The values must
+    # be the whole term matrix's row means within the bound that
+    # `estimators._window_estimates` states, and for the Gaussian, whose means
+    # come from a transform, within EVAL_TOL (the pdf's times h)
     monkeypatch.setattr(estimators, "MEAN_CHUNK", chunk)
+    monkeypatch.setattr(estimators, "WINDOW_CHUNK", chunk >> 6)
     rng = np.random.default_rng(15)
     l, u = -0.4, 1.3
     sample, h = Sample(rng.uniform(l + 0.01, u - 0.01, 700)), 0.21
@@ -278,13 +282,13 @@ def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatc
     xs = np.concatenate([edges, rng.uniform(l - 0.3, u + 0.3, BLOCK_ROWS + 43 - len(edges))])
     pdf_matrix, cdf_matrix = pdf_terms(est, xs), cdf_terms(est, xs)
     assert np.array_equal(pdf_matrix, np.vstack([pdf_terms(est, xs[k:k + 1]) for k in range(xs.size)]))
-    pdf, cdf = pdf_matrix.mean(axis=1), cdf_matrix.mean(axis=1)
-    got_pdf, got_cdf = est.pdf(xs), est.cdf(xs)
+    pdf, cdf = est.pdf(xs), est.cdf(xs)
     if kernel is GAUSSIAN:
-        assert np.all(np.abs(got_pdf - pdf) * h <= estimators.EVAL_TOL)
-        assert np.all(np.abs(got_cdf - cdf) <= estimators.EVAL_TOL)
-        pdf, cdf = got_pdf, got_cdf
-    assert np.array_equal(got_pdf, pdf) and np.array_equal(got_cdf, cdf)
+        assert np.all(np.abs(pdf - pdf_matrix.mean(axis=1)) * h <= estimators.EVAL_TOL)
+        assert np.all(np.abs(cdf - cdf_matrix.mean(axis=1)) <= estimators.EVAL_TOL)
+    else:
+        assert_window_means(est, xs, pdf, pdf_matrix, True)
+        assert_window_means(est, xs, cdf, cdf_matrix, False)
     grid = evaluate_grid(est, xs)
     assert np.array_equal(grid[:, 1], pdf) and np.array_equal(grid[:, 2], cdf)
     assert est.pdf(float(xs[7])) == pdf[7] and est.cdf(float(xs[7])) == cdf[7]

@@ -20,6 +20,7 @@ from supdens import (
     run_experiment,
     sample_beta,
 )
+from supdens.simulate import _gauss_legendre, _pieces
 
 UNBOUNDED = SupportInterval(-np.inf, np.inf)
 
@@ -136,6 +137,32 @@ class TestBoundaryIse:
         # criterion-5 replications (seed 7) whose top order statistics nearly
         # tie, so the edge terms go like 1/(u - x) close to the endpoint
         assert _table_replication_ise(p, q, n, r, label) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("p, q, n", [(3, 1, 300), (1, 1, 100), (2, 2, 1000)])
+    def test_boundary_kernel_edge_pieces_agree_with_64_nodes(self, p, q, n):
+        # 16 nodes on the edge pieces near the pole, 4 on the narrow ones and
+        # on the polynomial pieces, against 64 on every edge piece
+        narrow = 0
+        for r in range(6):
+            sample = sample_beta(p, q, n, (7, n, r))
+            h = lscv_bandwidth(sample, EPANECHNIKOV)
+            truth = lambda xs: beta_pdf(p, q, xs)  # noqa: E731
+            for ms in TABLE_METHODS[1:3]:
+                est, _ = fit(sample, h, EPANECHNIKOV, ms.method, ms.mode)
+                lo, hi, near = _pieces(est, 1.0, h)
+                l, u = est.support.lower, est.support.upper
+                mid = 0.5 * (lo + hi)
+                edge = ((mid > l) & (mid < l + h)) | ((mid > u - h) & (mid < u))
+                narrow += np.count_nonzero(edge & ~near)
+
+                def sq_error(xs):
+                    return (est.pdf(xs) - truth(xs)) ** 2
+
+                want = _gauss_legendre(sq_error, lo[~edge], hi[~edge], 4) + _gauss_legendre(
+                    sq_error, lo[edge], hi[edge], 64
+                )
+                assert boundary_ise(est, truth, 1.0, h) == pytest.approx(want, rel=1e-11)
+        assert narrow > 0
 
     def test_worst_boundary_kernel_replication(self):
         # beta(1,1), n = 300: r = 481 sets the bk:extremes maximum, not r = 488

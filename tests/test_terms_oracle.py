@@ -1,22 +1,25 @@
 """Windowed term evaluation against a full-width oracle, bit for bit.
 
-The estimators evaluate the kernel only on the sorted columns within its
-saturation radius of each block of points (the support radius for
-Epanechnikov, 39 bandwidths for the Gaussian) and write the saturated
-constants elsewhere.  The oracle here evaluates every (point, observation)
-pair with the same per-term functions, so any column the window wrongly
-leaves out shows as a changed bit.  Gaussian bandwidths are drawn small
-enough that the window is often narrower than the sample.
+The term matrices (`pdf_terms`, `cdf_terms`) evaluate the kernel only on
+the sorted columns within its saturation radius of each block of points
+(the support radius for Epanechnikov, 39 bandwidths for the Gaussian) and
+write the saturated constants elsewhere.  The oracle here evaluates every
+(point, observation) pair with the same per-term functions, so any column
+the window wrongly leaves out shows as a changed bit.  Gaussian bandwidths
+are drawn small enough that the window is often narrower than the sample.
 
-The Gaussian pdf, cdf and evaluate_grid come from a fast Gauss transform
-instead of the terms, so they match the oracle's row means within the
-transform's stated bound, `estimators.EVAL_TOL` (the pdf's times h); every
-other univariate mean, and every term, matches bit for bit.  The joint sums
-the window terms apart from an exact count, so its values match the math.fsum
-means of the oracle's product rows within the joint's stated bound, and the
-terms it evaluates, and the exact 0s and 1s it does not, match bit for bit.
+The univariate pdf, cdf and evaluate_grid form no term matrix.  The
+Gaussian's come from a fast Gauss transform, so they match the oracle's row
+means within the transform's stated bound, `estimators.EVAL_TOL` (the pdf's
+times h).  Every other kernel's are an exact count plus per-point window
+sums, so they match the math.fsum means of the oracle's rows within the
+bound `estimators._window_estimates` states.  The joint sums the window
+terms apart from an exact count, so its values match the math.fsum means of
+the oracle's product rows within the joint's stated bound, and the terms it
+evaluates, and the exact 0s and 1s it does not, match bit for bit.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -39,7 +42,16 @@ from supdens import (
     fit,
     fit_joint,
 )
-from supdens.estimators import EVAL_TOL, _reflection_terms, _scaled_terms, _window, cdf_terms, pdf_terms
+from supdens.estimators import (
+    EVAL_TOL,
+    _reach,
+    _reflection_points,
+    _reflection_terms,
+    _scaled_terms,
+    _window,
+    cdf_terms,
+    pdf_terms,
+)
 from supdens.joint import _inside, _layout
 from test_joint import assert_row_means
 
@@ -67,12 +79,60 @@ def oracle_terms(est, x, data, pdf):
     return out
 
 
-def assert_means(est, got, want, pdf):
-    """got equals the row means want: bit for bit, or for the Gaussian within EVAL_TOL (pdf: EVAL_TOL / h)."""
+def oracle_pieces(est, x, pdf):
+    """(rows, p, scale, slope) per piece of the values at the points x, placed as `oracle_terms` places them.
+
+    rows selects the points the piece serves; p and scale hold one value per point.
+    """
+    h, ones = est.h, np.ones_like(x)
+    if est.method == NAIVE:
+        return [(ones > 0.0, x, h * ones, 0.0)]
+    l, u = est.support.lower, est.support.upper
+    if est.method == REFLECTION:
+        rows = (x >= l) & (x <= u)
+        return [(rows, p * ones, h * ones, 0.0) for p in _reflection_points(pdf, x, l, u)]
+    return [
+        ((x > l) & (x < l + h) & (x < u - h), x, x - l, 1.0),
+        ((x >= l + h) & (x < u - h), x, h * ones, 0.0),
+        ((x >= u - h) & (x < u), x, u - x, -1.0),
+    ]
+
+
+def window_bound(est, x, pdf):
+    """Per point, the bound (k + 5) eps M that `estimators._window_estimates` states.
+
+    k counts the point's window terms over its pieces (`_reach`) and M is the
+    mean over the observations of the sum of its pieces' |terms|.
+    """
+    data, kernel = est.sample.values, est.kernel
+    k, mass = np.zeros(x.size), np.zeros(x.size)
+    for rows, p, scale, slope in oracle_pieces(est, x, pdf):
+        a, b = _reach(data, p[rows], scale[rows], kernel.saturation)
+        k[rows] += b - a
+        terms = _scaled_terms(kernel, pdf, p[rows, None], data, scale[rows, None], slope)
+        mass[rows] += np.abs(terms).mean(axis=1)
+    return (k + 5) * np.finfo(float).eps * mass
+
+
+def assert_window_means(est, x, got, rows, pdf):
+    """got is within `window_bound` of the math.fsum means of the full-width term rows (the cdf's clipped)."""
+    want = np.array([math.fsum(row) for row in rows]) / rows.shape[1]
+    if not pdf:
+        want = np.clip(want, 0.0, 1.0)
+    excess = np.abs(got - want) - window_bound(est, np.asarray(x, dtype=float), pdf)
+    assert np.all(excess <= 0.0), excess.max()
+
+
+def assert_means(est, x, got, rows, pdf):
+    """got holds the estimator's values at x, the means of the oracle's term rows.
+
+    The Gaussian's are within EVAL_TOL (pdf: EVAL_TOL / h) of the rows'
+    means, and every other kernel's within `window_bound` of their fsum means.
+    """
     if est.kernel.name != "gaussian":
-        assert np.array_equal(got, want)
+        assert_window_means(est, x, got, rows, pdf)
         return
-    assert np.all(np.abs(got - want) <= (EVAL_TOL / est.h if pdf else EVAL_TOL))
+    assert np.all(np.abs(got - rows.mean(axis=1)) <= (EVAL_TOL / est.h if pdf else EVAL_TOL))
 
 
 _kernel_method = st.sampled_from([
@@ -131,8 +191,62 @@ def test_univariate_terms_match_full_width_oracle(data):
         want = oracle_terms(est, pts, est.sample.values, pdf)
         assert np.array_equal(terms(est, pts), want)
         assert np.array_equal(terms(est, pts, raw), oracle_terms(est, pts, raw, pdf))
-        assert_means(est, evaluate(pts), want.mean(axis=1), pdf)
+        assert_means(est, pts, evaluate(pts), want, pdf)
         assert np.array_equal(evaluate_grid(est, pts)[:, col], evaluate(pts))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_epanechnikov_window_sums_within_the_stated_bound(data):
+    # Larger samples than above, lattice data with ties or beta draws, so the
+    # windows are mostly narrower than the sample; points at the support
+    # ends, the seams, the observations and their kernel edges
+    draw = data.draw
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        values = _column(draw, n, draw(st.sampled_from([0.0, 1e9])))
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).beta(3.0, 1.0, n)
+    l, u, h = _support(draw, values, EPANECHNIKOV)
+    pts = _edge_points(l, u, h, values, 1.0)
+    pts = np.concatenate([pts, draw(st.lists(st.floats(l - 2 * h, u + 2 * h), max_size=60))])
+    pts = pts[np.array(draw(st.permutations(range(pts.size))), dtype=int)]
+    other = np.linspace(0.0, 1.0, n)
+    for method in (NAIVE, REFLECTION, BOUNDARY_KERNEL):
+        support = SupportInterval(-np.inf, np.inf) if method == NAIVE else SupportInterval(l, u)
+        est = FittedEstimator(method, Sample(values), h, support, EPANECHNIKOV)
+        pdf, cdf = est.pdf(pts), est.cdf(pts)
+        assert_window_means(est, pts, pdf, pdf_terms(est, pts), True)
+        assert_window_means(est, pts, cdf, cdf_terms(est, pts), False)
+        assert np.array_equal(evaluate_grid(est, pts)[:, 1:], np.column_stack([pdf, cdf]))
+        assert np.all(pdf >= 0.0) and np.all((cdf >= 0.0) & (cdf <= 1.0))
+        # a point's value does not depend on the other points
+        assert est.pdf(pts[0]) == pdf[0] and est.cdf(pts[-1]) == cdf[-1]
+        if method == NAIVE:
+            continue
+        if method == REFLECTION:  # criterion 1, exactly
+            assert est.cdf(l) == 0.0 and est.cdf(u) == 1.0
+        je = fit_joint(MultiSample(np.column_stack([values, other])), [h, 0.25], EPANECHNIKOV, method,
+                       [SupportMode.known(l, u), SupportMode.known(-0.5, 1.5)])
+        joint = je.cdf(np.column_stack([pts, np.full(pts.size, 2.0)]))
+        assert np.all(np.abs(joint - cdf) <= 1e-12)
+
+
+def test_epanechnikov_eval_memory_follows_the_window():
+    # n = 2 * 10^4: term blocks of MEAN_CHUNK terms, the row means' way, peak
+    # at 10.8 MB here; the window sums hold WINDOW_CHUNK-entry arrays
+    values = np.random.default_rng(9).beta(3.0, 1.0, 20_000)
+    grid = np.linspace(-0.1, 1.1, 4001)
+    for method in (NAIVE, REFLECTION, BOUNDARY_KERNEL):
+        support = SupportInterval(-np.inf, np.inf) if method == NAIVE else SupportInterval(0.0, 1.0)
+        est = FittedEstimator(method, Sample(values), 0.004, support, EPANECHNIKOV)
+        tracemalloc.start()
+        try:
+            evaluate_grid(est, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, (method, peak)
 
 
 @settings(deadline=None, max_examples=60)
@@ -224,7 +338,7 @@ def test_gaussian_window_narrower_than_the_sample(method):
         want = oracle_terms(est, pts, est.sample.values, pdf)
         assert np.array_equal(terms(est, pts), want)
         assert np.array_equal(terms(est, pts, values), oracle_terms(est, pts, values, pdf))
-        assert_means(est, evaluate(pts), want.mean(axis=1), pdf)
+        assert_means(est, pts, evaluate(pts), want, pdf)
 
 
 def test_gaussian_joint_window_narrower_than_the_sample():
@@ -277,7 +391,7 @@ def test_gaussian_transform_matches_full_width_oracle(data):
     pts = pts[np.array(draw(st.permutations(range(pts.size))), dtype=int)]
     pdf, cdf = est.pdf(pts), est.cdf(pts)
     for got, pdf_side in ((pdf, True), (cdf, False)):
-        assert_means(est, got, oracle_terms(est, pts, est.sample.values, pdf_side).mean(axis=1), pdf_side)
+        assert_means(est, pts, got, oracle_terms(est, pts, est.sample.values, pdf_side), pdf_side)
     grid = evaluate_grid(est, pts)
     assert np.array_equal(grid[:, 1], pdf) and np.array_equal(grid[:, 2], cdf)
     shifted = _gaussian_fit(method, values, l, u, h, _SHIFT)
@@ -297,7 +411,7 @@ def test_gaussian_transform_on_two_far_clusters(gap):
     est = FittedEstimator(NAIVE, Sample(values), 0.01, SupportInterval(-np.inf, np.inf), GAUSSIAN)
     pts = np.concatenate([rng.uniform(0.0, 1.0, 200), gap + rng.uniform(0.0, 1.0, 200)])
     for got, pdf in ((est.pdf(pts), True), (est.cdf(pts), False)):
-        assert_means(est, got, oracle_terms(est, pts, est.sample.values, pdf).mean(axis=1), pdf)
+        assert_means(est, pts, got, oracle_terms(est, pts, est.sample.values, pdf), pdf)
 
 
 def _beta_fit(method, n, h, seed=5):
