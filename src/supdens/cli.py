@@ -10,6 +10,7 @@ exit: results are rendered fully before anything is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -373,6 +374,7 @@ def _cmd_joint(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="supdens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

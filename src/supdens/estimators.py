@@ -294,11 +294,14 @@ def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bo
 MEAN_CHUNK = 1 << 20
 
 
-#: Window entries per chunk of `_piece_sums`.  Its working arrays, about ten of
-#: this length, stay in a 2-CPU x86_64 VM's L2 cache: a 4001-point reflection
-#: `evaluate_grid` on beta(3,1) data took 4.3 ms at n = 2000 (h = 0.0097) and
-#: 19 ms at n = 10^5 (h = 0.0019) with 2^14 entries a chunk, against 6.7 and
-#: 32 ms with 2^16 (BENCH_window.json).
+#: Entries per chunk of the window sums: window terms in `_piece_sums`, and
+#: (candidate, observation) pairs in the LSCV's `bandwidth._window_pair_sums`.
+#: Their working arrays of this length then stay in or near a 2-CPU x86_64
+#: VM's 2 MB L2 cache.  With 2^14 entries a chunk against 2^16, a 4001-point
+#: reflection `evaluate_grid` on beta(3,1) data took 4.3 against 6.7 ms at
+#: n = 2000 (BENCH_window.json), and the 40-candidate Epanechnikov LSCV at
+#: n = 2000 (8 candidates a chunk against 32) 17-23 against 27-35 ms
+#: (BENCH_lscv_chunk.json).
 WINDOW_CHUNK = 1 << 14
 
 
@@ -580,7 +583,7 @@ _WIDEST = np.array([0.0] + [sqrt(0.5) * exp((log(EXPANSION_TOL / 1.09) + lgamma(
 EVAL_TOL = 1e-14
 
 #: Float64 entries per working array of the chunked computations: the transform's
-#: terms x box pairs here, and the LSCV's candidates and box products in `bandwidth`.
+#: terms x box pairs here, and the Gaussian LSCV's candidates and box products in `bandwidth`.
 CHUNK = 1 << 16
 
 #: Box indices below 2^61 in magnitude are exact integers, and so is every sum or

@@ -301,3 +301,18 @@ def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
     want = np.r_[n + 2.0 * s_k / kernel.pdf(0.0), n + 2.0 * s_kk / kernel.convolution(0.0)]
     got = bandwidth._gauss_pair_totals(y, np.r_[np.sqrt(2.0) * hs, 2.0 * hs])
     assert np.all(np.abs(got - want) <= bandwidth.EXPANSION_TOL * n * n + 1e-14 * want)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e9])
+@pytest.mark.parametrize("n", [3, 100, 2000])
+def test_epanechnikov_lscv_is_the_same_bits_in_any_chunk(n, shift, monkeypatch):
+    # each candidate's window sums are its own arithmetic, so the chunk size
+    # moves no bit: one candidate a chunk, WINDOW_CHUNK entries, or one chunk
+    sample = Sample(np.random.default_rng(n).beta(3.0, 1.0, n) + shift)
+    hs = BandwidthGrid.default(sample).candidates
+    got = []
+    for cap in (1, bandwidth.WINDOW_CHUNK, n * hs.size):
+        monkeypatch.setattr(bandwidth, "WINDOW_CHUNK", cap)
+        got.append(bandwidth._lscv(sample, EPANECHNIKOV, hs))
+    assert all(np.array_equal(v, got[0]) for v in got[1:])
+    assert np.all(np.isfinite(got[0]))

@@ -242,15 +242,46 @@ def test_exit_codes(tmp_path, data_file, capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_runs_the_cli():
-    # `python -m supdens.cli` parses its arguments like the `supdens` script
+def _module_cli(argv, timeout):
+    """`python -m supdens.cli argv` in a fresh process, importing this checkout's src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "supdens.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m supdens.cli` parses its arguments like the `supdens` script
     argv = ["fit", "--method", "naive", "--bandwidth", "0.1", "--input", "data.csv", "--bogus"]
-    proc = subprocess.run([sys.executable, "-m", "supdens.cli"] + argv,
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _module_cli(argv, 60)
     assert proc.returncode == 1
     assert "unrecognized arguments: --bogus" in proc.stderr
+
+
+def test_one_parser_serves_every_call(data_file, tmp_path, capsys):
+    # run_cli builds its parser once per process: after a usage error, fit
+    # and eval give the exit codes and bytes that fresh processes give
+    model, grid = tmp_path / "model.json", tmp_path / "grid.csv"
+    runs = [
+        ["fit", "--method", "reflection", "--input", data_file, "--bogus"],
+        ["fit", "--method", "reflection", "--mode", "proposed", "--input", data_file, "--output", str(model)],
+        ["eval", "--model", str(model), "--grid", "0:1:51", "--output", str(grid)],
+    ]
+
+    def outputs():
+        return [path.read_bytes() for path in (model, grid)]
+
+    fresh = [_module_cli(argv, 120) for argv in runs]
+    written = outputs()
+    model.unlink()
+    grid.unlink()
+    capsys.readouterr()
+    for argv, proc in zip(runs, fresh):
+        assert run_cli(argv) == proc.returncode
+        assert capsys.readouterr() == (proc.stdout, proc.stderr)
+    assert [proc.returncode for proc in fresh] == [1, 0, 0] and "--bogus" in fresh[0].stderr
+    assert outputs() == written
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_max_iter_is_no_option(data_file, data2d_file, capsys):
