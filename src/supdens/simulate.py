@@ -152,12 +152,16 @@ def _pieces(est: FittedEstimator, u0: float, h: float) -> Tuple[np.ndarray, np.n
     return lo, hi, near
 
 
-def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, nodes: int) -> float:
-    """Sum over the pieces [lo, hi] of the `nodes`-point Gauss-Legendre integrals of f."""
-    t, w = _legendre_rule(nodes)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    fx = f((mid[:, None] + half[:, None] * t).ravel())
-    return float((fx.reshape(-1, t.size) @ w) @ half)
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], *parts: Tuple[np.ndarray, np.ndarray, int]) -> float:
+    """Sum over parts (lo, hi, nodes) of the `nodes`-point Gauss-Legendre integrals of f on the pieces [lo, hi].
+
+    f is called once, at the nodes of all parts together, and must give each
+    point's value independently of the other points.
+    """
+    rules = [(_legendre_rule(nodes), 0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi, nodes in parts]
+    xs = [(mid[:, None] + half[:, None] * t).ravel() for (t, _), mid, half in rules]
+    fx = np.split(f(np.concatenate(xs)), np.cumsum([x.size for x in xs])[:-1])
+    return sum(float((v.reshape(-1, t.size) @ w) @ half) for ((t, w), _, half), v in zip(rules, fx))
 
 
 def boundary_ise(
@@ -192,9 +196,7 @@ def boundary_ise(
         d = est.pdf(xs) - np.asarray(truth(xs), dtype=float)
         return d * d
 
-    return _gauss_legendre(sq_error, lo[~near], hi[~near], _POLY_NODES) + _gauss_legendre(
-        sq_error, lo[near], hi[near], _EDGE_NODES
-    )
+    return _gauss_legendre(sq_error, (lo[~near], hi[~near], _POLY_NODES), (lo[near], hi[near], _EDGE_NODES))
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,31 @@ adjacent floats.  The residual is s * g at the solved delta, before the
 endpoint e + s*h*delta rounds to the data's spacing: on 1e9 + Beta with
 h = 0.05 the fitted estimator's own Fhat(e) - target reaches 6e-8 (1e-4 at
 1e12), however small the reported residual.
+
+Look-ahead.  The objectives take an array of points, and each value depends
+on its own point alone: the boundary kernel's is the mean of its own row of
+W terms, which sums as the one-dimensional mean of that row does, and the
+reflection's is `_piece_sums`'s count and window sums of its own four
+pieces.  So one call evaluates every midpoint the next k bisection steps can
+visit, the 2^k - 1 nodes of the tree below the bracket, each formed as
+0.5 * (lo + hi) as a step forms it, and the steps then walk those values:
+roots, residuals, iteration counts, brackets and NumericError texts are the
+one-point loop's, bit for bit.  The set-up asks for g(0), g(1) and the
+data-coordinate start or the first k halvings of [0, 1] in one call.  k is
+the largest depth whose 2^k - 1 points cost at most LOOKAHEAD_TERMS terms,
+a point costing the n terms of a boundary-kernel mean or its reflection
+pieces' `_reach` windows at delta = 0 (their widest), plus 64.  A call
+costs tens of microseconds whatever its size and a point in a small window
+little, so the Epanechnikov solves at n = 100 to 300 look 3 to 6 steps
+ahead.  Where a point costs about a window of n (the boundary kernel
+at n = 2000; the Gaussian, whose four windows hold nearly all n, from a few
+hundred observations) k is 1 and only the set-up is batched.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import isqrt
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -63,7 +83,7 @@ from .estimators import (
     SupportInterval,
     _check_contains,
     _piece_sums,
-    _reflection_points,
+    _reach,
     _reflection_sum,
 )
 from .kernels import KernelSpec
@@ -78,6 +98,10 @@ MAX_SWEEPS = 100
 MOVE_TOL = 1e-10
 # Bisection stops once a side's residual |Fhat(e) - target| is below TOL.
 TOL = 1e-10
+# Terms one look-ahead call of the objective may cost (see the module docstring).
+# A point costs its terms plus sqrt(LOOKAHEAD_TERMS) = 64, about what its tree
+# node and window bookkeeping cost, so a call holds at most 63 points.
+LOOKAHEAD_TERMS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -151,36 +175,65 @@ class SolveReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float):
+def _depth(cost: int) -> int:
+    """Bisection steps per objective call when a point costs `cost` terms (see LOOKAHEAD_TERMS)."""
+    return max(1, (LOOKAHEAD_TERMS // (cost + isqrt(LOOKAHEAD_TERMS)) + 1).bit_length() - 1)
+
+
+def _lookahead(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, k: int) -> Tuple[list, list]:
+    """(ends, values): the bracket (lo, hi) cut at every midpoint that k bisection steps can visit, and g there.
+
+    ends holds the 2^k + 1 cuts in order from lo to hi, each midpoint formed
+    from the two cuts that bracket it as a step forms it; values[j] is g at
+    ends[j + 1].  The first step's midpoint is ends[2^(k-1)], and a step at
+    ends[p] with its bracket (ends[p - w], ends[p + w]) goes on to p + w/2 if g > 0
+    there, else to p - w/2.
+    """
+    ends = [lo, hi]
+    for _ in range(k):
+        ends = [v for a, b in zip(ends, ends[1:]) for v in (a, 0.5 * (a + b))] + [hi]
+    return ends, g(np.array(ends[1:-1])).tolist()
+
+
+def _bisect(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, depth: int):
     """(root, g(root), iterations) of g = 0 between lo and hi (either order), g(lo) > 0 >= g(hi).
 
-    Stops at |g| < TOL; raises NumericError after MAX_BISECT steps or at adjacent floats.
+    g maps an array of points to their values; it is called once per `depth`
+    steps, at every midpoint those steps can visit (`_lookahead`).  Stops at
+    |g| < TOL; raises NumericError after MAX_BISECT steps or at adjacent floats.
     """
-    best = (np.inf, lo)
+    best, w = (np.inf, lo), 0
     for it in range(1, MAX_BISECT + 1):
-        mid = 0.5 * (lo + hi)
+        if w == 0:
+            k = min(depth, MAX_BISECT + 1 - it)
+            ends, values = _lookahead(g, lo, hi, k)
+            p = w = 1 << (k - 1)
+        mid = ends[p]
         if mid == lo or mid == hi:
             break
-        gm = g(mid)
+        gm = values[p - 1]
         if abs(gm) < TOL:
             return mid, gm, it
         best = min(best, (abs(gm), mid))
-        lo, hi = (mid, hi) if gm > 0.0 else (lo, mid)
+        w >>= 1
+        lo, hi, p = (mid, hi, p + w) if gm > 0.0 else (lo, mid, p - w)
     raise NumericError(
         f"bisection did not reach tolerance {TOL} in {it} iterations (best |residual| {best[0]:.3e} "
         f"at {best[1]!r}, bracket [{min(lo, hi)!r}, {max(lo, hi)!r}])"
     )
 
 
-def _bk_extreme_cdf(data: np.ndarray, kernel: KernelSpec, s: int, v: float) -> float:
-    """Boundary-kernel Fhat(e) at the side-s extreme e with that endpoint at v.
+def _bk_extreme_cdf(data: np.ndarray, kernel: KernelSpec, s: int, v):
+    """Boundary-kernel Fhat(e) at the side-s extreme e with that endpoint at v, of v's shape (a scalar or an array).
 
     The mass beyond e is m = mean W((X_i - e) / (v - e)) on either side, so
-    Fhat(e) is 1 - m on the right and m on the left.
+    Fhat(e) is 1 - m on the right and m on the left.  Each v's mean is the
+    sum of its own row over n, as np.mean forms it.
     """
-    e = data[-1] if s > 0 else data[0]
-    m = float(np.mean(kernel.cdf((data - e) / (v - e))))
-    return 1.0 - m if s > 0 else m
+    e, v = (data[-1] if s > 0 else data[0]), np.asarray(v, dtype=float)
+    # for one endpoint the centred row has the quotient's shape, so NumPy divides it in place
+    m = np.add.reduce(kernel.cdf((data[None, :] - e) / (v.reshape(-1, 1) - e)), axis=1) / data.size
+    return (1.0 - m if s > 0 else m).reshape(v.shape)
 
 
 def _extreme_and_target(data: np.ndarray, s: int) -> Tuple[float, float]:
@@ -190,10 +243,11 @@ def _extreme_and_target(data: np.ndarray, s: int) -> Tuple[float, float]:
 
 
 def _bk_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float):
-    """(g, e, unit of delta, target, data-coordinate start) of g = 1/(n+1) - mean W(s*z/delta).
+    """(g, e, unit of delta, target, data-coordinate start, terms a point costs) of g = 1/(n+1) - mean W(s*z/delta).
 
     The unit is h, or a power-of-two fraction of it when e's nearest neighbour
     is a subnormal number of bandwidths away, so z and delta keep full precision.
+    A point costs the n terms of its mean.
     """
     n = data.size
     e, target = _extreme_and_target(data, s)
@@ -202,34 +256,53 @@ def _bk_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other:
     if gap / h < np.finfo(float).tiny:
         # exponents taken apart, because gap / h may underflow to 0
         unit = float(np.ldexp(h, np.frexp(gap)[1] - np.frexp(h)[1] + 1020))
-    z = (data - e) / unit
+    sz = s * (data - e) / unit  # s * z, the same bits as s * ((data - e) / unit)
     # as delta -> 0 the mean W tends to (#ties at e)/(2n): each tied extreme keeps W(0) = 1/2
-    g0 = 1.0 / (n + 1.0) - np.count_nonzero(z == 0.0) / (2.0 * n)
+    g0 = 1.0 / (n + 1.0) - np.count_nonzero(sz == 0.0) / (2.0 * n)
+    block = max(1, LOOKAHEAD_TERMS // n)
 
-    def g(d: float) -> float:
-        return g0 if d == 0.0 else 1.0 / (n + 1.0) - float(np.mean(kernel.cdf(s * z / d)))
+    def g(d: np.ndarray) -> np.ndarray:
+        out = np.full(d.size, g0)
+        rows = (d != 0.0).nonzero()[0]
+        for k in range(0, rows.size, block):  # so a call holds one row of n, or at most LOOKAHEAD_TERMS
+            r = rows[k:k + block]
+            out[r] = 1.0 / (n + 1.0) - np.mean(kernel.cdf(sz / d[r, None]), axis=1)
+        return out
 
-    return g, e, unit, target, e + s * (abs(e) * 1e-12 + 1e-300)
+    return g, e, unit, target, e + s * (abs(e) * 1e-12 + 1e-300), n
 
 
 def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other: float):
-    """(g, e, h, target, None): Fhat(e) at z = 0, h = 1 and the other endpoint at (other - e)/h.
+    """(g, e, h, target, None, terms a point costs): Fhat(e) at z = 0, h = 1 and the other endpoint at (other - e)/h.
 
     Fhat(e) is the reflection cdf as `estimators._window_estimates` forms it at
     the one point z = 0, which lies in [l, u]: its four pieces' exact counts
     and window sums, combined in `_reflection_sum`'s order, over n (unclipped).
+    A point costs its pieces' `_reach` windows, counted at delta = 0, where
+    they are widest.
     """
     e, target = _extreme_and_target(data, s)
     z = (data - e) / h
     o = (other - e) / h
 
-    def g(d: float) -> float:
-        l, u = (o, d) if s > 0 else (-d, o)
-        counts, _, sums = _piece_sums(kernel, z, np.array(_reflection_points(False, 0.0, l, u)), 1.0, 0.0, False, True)
-        cdf = (_reflection_sum(False, counts.__getitem__) + _reflection_sum(False, sums.__getitem__)) / z.size
-        return s * (float(cdf) - target)
+    # `_reflection_points(False, 0.0, l, u)` at (l, u) = (o, d) or (-d, o) as
+    # base + slope * d, bit for bit: fl(2d - o) = fl(-o + 2d), fl(2o - (-d)) =
+    # fl(2o + d), and -0.0 + (-2d) keeps the sign of 2 * (-0.0) - 0.0 at d = 0
+    base, slope = ([0.0, 2.0 * o, -o, 0.0], [0.0, 0.0, 2.0, 2.0]) if s > 0 else \
+        ([0.0, -0.0, 2.0 * o, 2.0 * o], [0.0, -2.0, 1.0, 0.0])
+    base, slope = np.array(base)[:, None], np.array(slope)[:, None]
 
-    return g, e, h, target, None
+    def pieces(d: np.ndarray) -> np.ndarray:
+        return (base + slope * d).ravel()
+
+    def g(d: np.ndarray) -> np.ndarray:
+        counts, _, sums = _piece_sums(kernel, z, pieces(d), 1.0, 0.0, False, True)
+        counts, sums = counts.reshape(4, -1), sums.reshape(4, -1)
+        cdf = (_reflection_sum(False, counts.__getitem__) + _reflection_sum(False, sums.__getitem__)) / z.size
+        return s * (cdf - target)
+
+    a, b = _reach(z, pieces(np.zeros(1)), 1.0, kernel.saturation)
+    return g, e, h, target, None, int((b - a).sum())
 
 
 @np.errstate(over="ignore")  # s*z/delta overflows to -inf at tiny delta, where W is 0 as it should be
@@ -237,30 +310,54 @@ def _solve_side(objective, data: np.ndarray, kernel: KernelSpec, h: float, s: in
     """(endpoint, residual, iterations, bracket, fallback) of side s, the other endpoint at `other`.
 
     An objective with a data-coordinate start (the boundary kernel) doubles the bracket [0, 1].
+    Values are asked for in batches, each point at most once: g(0), g(1) and
+    the start or the first `depth` halvings of [0, 1] in the first call, then
+    `depth` halvings at a time while the root lies lower.
     """
-    g, e, unit, target, start = objective(data, kernel, h, s, other)
-    g0, hi = g(0.0), 1.0
-    g_hi = g(hi)
+    g, e, unit, target, start, cost = objective(data, kernel, h, s, other)
+    depth = _depth(cost)
+    known = {}
+
+    def values(*points: float) -> list:
+        new = [d for d in points if d not in known]
+        if new:
+            known.update(zip(new, g(np.array(new)).tolist()))
+        return [known[d] for d in points]
+
+    def halvings(hi: float) -> list:
+        out = []
+        for _ in range(depth):
+            hi *= 0.5
+            out.append(hi)
+        return out
+
+    hi = 1.0
+    d_start = None if start is None else s * (start - e) / unit
+    g0, g_hi = values(0.0, hi, *(halvings(hi) if start is None else [d_start]))[:2]
     while start is not None and g_hi > 0.0:
         hi *= 2.0
         if not np.isfinite(hi):
             raise NumericError("boundary-kernel bracket expansion overflowed")
-        g_hi = g(hi)
+        (g_hi,) = values(hi)
     if not g0 > 0.0 >= g_hi:
         # tied extremes (boundary kernel), or a target the reflection bracket misses
         res = g0 if abs(g0) < abs(g_hi) else g_hi
         return e, s * res, 0, tuple(sorted((e, e + s * unit))), True
-    if start is not None and g(s * (start - e) / unit) > 0.0:
+    if start is not None and known[d_start] > 0.0:
         # data coordinates first, which keep the endpoints of ordinary data bit for bit
         far = e + s * unit * hi
         try:
-            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far)
+            v, res, it = _bisect(lambda v: s * (_bk_extreme_cdf(data, kernel, s, v) - target), start, far, depth)
             return v, s * res, it, tuple(sorted((start, far))), False
         except NumericError:
             pass
-    while 0.5 * hi > 0.0 and g(0.5 * hi) <= 0.0:
+    while 0.5 * hi > 0.0:
+        if 0.5 * hi not in known:
+            values(*halvings(hi))
+        if known[0.5 * hi] > 0.0:
+            break
         hi *= 0.5
-    d, res, it = _bisect(g, 0.5 * hi, hi)
+    d, res, it = _bisect(g, 0.5 * hi, hi, depth)
     bracket = tuple(sorted((e + s * unit * 0.5 * hi, e + s * unit * hi)))
     return e + s * unit * d, s * res, it, bracket, False
 
@@ -340,8 +437,8 @@ def _extremes_report(data: np.ndarray, kernel: KernelSpec, h: float, objective) 
     res = {}
     for s, other in ((-1, xn), (1, x1)):
         # at delta = 0 the objective gives Fhat(e) = target + s * g(0)
-        g, _, _, target, _ = objective(data, kernel, h, s, other)
-        res[s] = target + s * g(0.0) - (s > 0)
+        g, _, _, target, _, _ = objective(data, kernel, h, s, other)
+        res[s] = float(target + s * g(np.zeros(1))[0] - (s > 0))
     return SolveReport(x1, xn, res[-1], res[1], 0, 0, (x1, x1), (xn, xn), False, False, 0)
 
 

@@ -158,9 +158,7 @@ class TestBoundaryIse:
                 def sq_error(xs):
                     return (est.pdf(xs) - truth(xs)) ** 2
 
-                want = _gauss_legendre(sq_error, lo[~edge], hi[~edge], 4) + _gauss_legendre(
-                    sq_error, lo[edge], hi[edge], 64
-                )
+                want = _gauss_legendre(sq_error, (lo[~edge], hi[~edge], 4), (lo[edge], hi[edge], 64))
                 assert boundary_ise(est, truth, 1.0, h) == pytest.approx(want, rel=1e-11)
         assert narrow > 0
 

@@ -20,6 +20,7 @@ from supdens import (
     solve_support,
 )
 from supdens import solver
+from supdens.estimators import _window_estimates
 from supdens.solver import _bk_extreme_cdf
 
 
@@ -462,3 +463,156 @@ def test_endpoint_consistency_improves_with_n():
             med.append(abs(rep.u_hat - 1.0))
         errs[n] = float(np.median(med))
     assert errs[400] < errs[100]
+
+
+# -- look-ahead bisection ----------------------------------------------------------
+
+
+def _one_point_bisect(g, lo, hi):
+    """The one-point bisection loop, kept as the reference for `solver._bisect`."""
+    best = (np.inf, lo)
+    for it in range(1, solver.MAX_BISECT + 1):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gm = g(mid)
+        if abs(gm) < solver.TOL:
+            return mid, gm, it
+        best = min(best, (abs(gm), mid))
+        lo, hi = (mid, hi) if gm > 0.0 else (lo, mid)
+    raise NumericError(
+        f"bisection did not reach tolerance {solver.TOL} in {it} iterations (best |residual| {best[0]:.3e} "
+        f"at {best[1]!r}, bracket [{min(lo, hi)!r}, {max(lo, hi)!r}])"
+    )
+
+
+def _outcome(f):
+    try:
+        return f()
+    except NumericError as exc:
+        return str(exc)
+
+
+def _walk_case(kind, lo, hi, root, slope):
+    """A vectorised g with g(lo) > 0 >= g(hi): a step at root, or a line through it."""
+    sign = 1.0 if lo < hi else -1.0  # reversed brackets have g increasing in x
+    if kind == "step":
+        return lambda x: np.where(sign * (x - root) < 0.0, 1.0, -1.0)
+    return lambda x: sign * slope * (root - x)
+
+
+def _check_walk(g, lo, hi, depth):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return g(x)
+
+    want = _outcome(lambda: _one_point_bisect(lambda x: float(g(np.array([x]))[0]), lo, hi))
+    got = _outcome(lambda: solver._bisect(counted, lo, hi, depth))
+    assert got == want
+    if isinstance(got, tuple):
+        assert type(got[0]) is float and type(got[1]) is float
+        steps = got[2]
+    else:
+        steps = int(got.split(" in ")[1].split()[0])
+    # one call per `depth` steps, each at the 2^k - 1 midpoints of its k steps
+    assert len(calls) == -(-steps // depth)
+    assert calls == [2 ** min(depth, solver.MAX_BISECT - depth * c) - 1 for c in range(len(calls))]
+    return got
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    depth=st.integers(1, 6),
+    kind=st.sampled_from(["step", "line"]),
+    lo=st.floats(-4.0, 4.0),
+    width=st.sampled_from([1.0, 1e-12, 3e-300]) | st.floats(1e-6, 10.0),
+    frac=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    slope=st.sampled_from([1.0, 1e-9, 1e12]) | st.floats(1e-11, 1e11),
+    reverse=st.booleans(),
+)
+def test_lookahead_walk_matches_the_one_point_loop(depth, kind, lo, width, frac, slope, reverse):
+    hi = lo + width
+    assume(hi > lo)
+    root = lo + frac * (hi - lo)
+    if reverse:  # as the boundary kernel's s = -1 data-coordinate pass runs from start > far
+        lo, hi = hi, lo
+    g = _walk_case(kind, lo, hi, root, slope)
+    assume(g(np.array([lo]))[0] > 0.0 >= g(np.array([hi]))[0])
+    _check_walk(g, lo, hi, depth)
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_lookahead_walk_exits(depth, monkeypatch):
+    # the |g| < TOL exit at the first midpoint and deep in a tree
+    assert _check_walk(_walk_case("line", 0.0, 1.0, 0.5, 1.0), 0.0, 1.0, depth) == (0.5, 0.0, 1)
+    assert _check_walk(_walk_case("line", 2.0, 1.0, 1.3, 1.0), 2.0, 1.0, depth)[2] > 20
+    # adjacent floats: a step never gets below TOL
+    msg = _check_walk(_walk_case("step", 1.0, 2.0, 1.25, 1.0), 1.0, 2.0, depth)
+    assert "in 53 iterations" in msg and "bracket [1.2499999999999998, 1.25]" in msg
+    # the MAX_BISECT cap, also when it cuts a look-ahead call short
+    msg = _check_walk(_walk_case("step", 0.0, 1.0, 1e-300, 1.0), 0.0, 1.0, depth)
+    assert f"in {solver.MAX_BISECT} iterations" in msg
+    monkeypatch.setattr(solver, "MAX_BISECT", 7)
+    msg = _check_walk(_walk_case("step", 0.0, 1.0, 1e-300, 1.0), 0.0, 1.0, depth)
+    assert "in 7 iterations" in msg
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+@pytest.mark.parametrize("s", [1, -1])
+def test_reflection_objective_is_the_window_cdf_at_the_extreme(kernel, s):
+    # g(delta) = s * (Fhat(e) - target), Fhat(e) as the estimator evaluates it, bit for bit, many points a call
+    data = np.sort(np.random.default_rng(8).beta(3.0, 1.0, 200))
+    h, other = 0.07, data[0] - 0.02 if s > 0 else data[-1] + 0.03
+    g, e, _, target, _, _ = solver._reflection_objective(data, kernel, h, s, other)
+    z, o = (data - e) / h, (other - e) / h
+    d = np.concatenate([[0.0, 1.0], 0.5 ** np.arange(1, 60), np.random.default_rng(9).uniform(0.0, 1.0, 40)])
+    for di, gi in zip(d, g(d)):
+        l, u = (o, di) if s > 0 else (-di, o)
+        (cdf,) = _window_estimates(kernel, REFLECTION, z, 1.0, l, u, np.zeros(1), pdf=False)
+        assert gi == s * (cdf[0] - target)
+
+
+def _solve_cases():
+    x = np.random.default_rng(5).beta(3.0, 1.0, 100)
+    tied = np.append(x, x.max())
+    cases = []
+    for values in (x, x + 1e9, tied, np.random.default_rng(6).uniform(0.0, 1.0, 300)):
+        s = Sample(values)
+        lo, hi = s.min - 0.01, s.max + 0.01
+        for method, kernel in ((BOUNDARY_KERNEL, EPANECHNIKOV), (REFLECTION, EPANECHNIKOV), (REFLECTION, GAUSSIAN)):
+            for mode in (SupportMode.proposed(), SupportMode.extremes(),
+                         SupportMode.half_known_lower(lo), SupportMode.half_known_upper(hi)):
+                cases.append((s, kernel, method, mode))
+    return cases
+
+
+def test_lookahead_depth_leaves_every_report_unchanged(monkeypatch):
+    # a cap of one term per call gives depth 1 everywhere: the one-point walk
+    def reports():
+        return [solve_support(s, 0.05, k, m, mode).to_dict() for s, k, m, mode in _solve_cases()]
+
+    default = reports()
+    assert any(r["fallback_right"] for r in default) and any(r["iterations_right"] > 20 for r in default)
+    monkeypatch.setattr(solver, "LOOKAHEAD_TERMS", 1)
+    assert reports() == default
+    monkeypatch.setattr(solver, "LOOKAHEAD_TERMS", 1 << 16)
+    assert reports() == default
+
+
+def test_report_fields_are_python_numbers():
+    # np.float64 in a report prints as np.float64(...) in its repr
+    x = np.random.default_rng(5).beta(3.0, 1.0, 100)
+    seen = set()
+    for s, kernel, method, mode in _solve_cases():
+        rep = solve_support(s, 0.05, kernel, method, mode)
+        seen.add((mode.kind, rep.fallback_left or rep.fallback_right))
+        for name, v in rep.to_dict().items():
+            want = bool if name.startswith("fallback") else int if name.startswith(("iter", "outer")) else float
+            assert all(type(a) is want for a in (v if isinstance(v, list) else [v])), (name, v)
+        assert "np." not in repr(rep)
+    assert ("proposed", True) in seen and ("extremes", False) in seen
+    # the tied-maximum fallback residual, once np.float64(-9.7e-05)
+    rep = solve_support(Sample(np.append(x, x.max())), 0.05, EPANECHNIKOV, BOUNDARY_KERNEL, SupportMode.proposed())
+    assert rep.fallback_right and type(rep.residual_right) is float

@@ -164,6 +164,11 @@ def _column(draw, n, shift):
     return shift + np.array(ints, dtype=float) / 32.0
 
 
+def _permutation(draw, k):
+    """A random order of range(k) from a drawn seed: drawing the order itself takes k draws."""
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(k)
+
+
 def _support(draw, values, kernel):
     """(l, u, h): a support around the values and a bandwidth of at most half its length.
 
@@ -202,8 +207,8 @@ def test_univariate_terms_match_full_width_oracle(data):
     est = FittedEstimator(method, Sample(values), h, support, kernel)
     pts = _edge_points(l, u, h, values, kernel.saturation)
     pts = np.concatenate([pts, draw(st.lists(st.floats(l - 2 * h, u + 2 * h), max_size=80))])
-    pts = pts[np.array(draw(st.permutations(range(pts.size))), dtype=int)]
-    raw = values[np.array(draw(st.permutations(range(n))), dtype=int)]
+    pts = pts[_permutation(draw, pts.size)]
+    raw = values[_permutation(draw, n)]
     for pdf, terms, evaluate, col in ((True, pdf_terms, est.pdf, 1), (False, cdf_terms, est.cdf, 2)):
         want = oracle_terms(est, pts, est.sample.values, pdf)
         assert np.array_equal(terms(est, pts), want)
@@ -227,7 +232,7 @@ def test_epanechnikov_window_sums_within_the_stated_bound(data):
     l, u, h = _support(draw, values, EPANECHNIKOV)
     pts = _edge_points(l, u, h, values, 1.0)
     pts = np.concatenate([pts, draw(st.lists(st.floats(l - 2 * h, u + 2 * h), max_size=60))])
-    pts = pts[np.array(draw(st.permutations(range(pts.size))), dtype=int)]
+    pts = pts[_permutation(draw, pts.size)]
     other = np.linspace(0.0, 1.0, n)
     for method in (NAIVE, REFLECTION, BOUNDARY_KERNEL):
         support = SupportInterval(-np.inf, np.inf) if method == NAIVE else SupportInterval(l, u)
@@ -280,10 +285,10 @@ def test_joint_matches_full_width_oracle(data):
     axes = []
     for j, (l, u, h) in enumerate(supports):
         axis = _edge_points(l, u, h, cols[:, j], kernel.saturation)
-        axes.append(axis[np.array(draw(st.permutations(range(axis.size))), dtype=int)][: 60 // d])
+        axes.append(axis[_permutation(draw, axis.size)][: 60 // d])
     m = 150
     pts = np.column_stack([axis[np.arange(m) % axis.size] for axis in axes])
-    pts = pts[np.array(draw(st.permutations(range(m))), dtype=int)]
+    pts = pts[_permutation(draw, m)]
     _check_joint(je, cols, pts, axes)
 
 
@@ -405,7 +410,7 @@ def test_gaussian_transform_matches_full_width_oracle(data):
                           values.min() - np.array([r - 1.0, r, 45.0]) * h,
                           draw(st.lists(st.floats(l - 3 * h, u + 3 * h), max_size=40))])
     pts = np.concatenate([lattice, far, np.nextafter(lattice[:2], -np.inf), np.nextafter(lattice[:2], np.inf)])
-    pts = pts[np.array(draw(st.permutations(range(pts.size))), dtype=int)]
+    pts = pts[_permutation(draw, pts.size)]
     pdf, cdf = est.pdf(pts), est.cdf(pts)
     for got, pdf_side in ((pdf, True), (cdf, False)):
         assert_means(est, pts, got, oracle_terms(est, pts, est.sample.values, pdf_side), pdf_side)
