@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import sys
+from math import prod
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -143,31 +144,40 @@ def _parse_bandwidth(policy: str, d: int = 1):
     return hs * (d // len(hs))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-#: Rows per %-format in `_grid_csv`, so that the tuple of one block's labels
-#: and values, not the whole grid's, is alive at once.
+#: Grid rows per %-format in `_grid_csv`, so that one block's template and
+#: values, not the whole grid's, are alive at once.
 _CSV_ROWS = 4096
 
 
-def _grid_csv(rows: np.ndarray, header: str, labels=None) -> str:
-    """The header, then per row its label (if given) and its values, as `_fmt` writes them."""
-    # one %-format per block of rows writes each value as format(v, ".17g")
-    # does, at a fraction of the per-value (or per-row) calls
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    if labels is not None:
-        line, labels = "%s," + line, iter(labels)
+def _grid_csv(header: str, axes: Sequence[np.ndarray], *values: np.ndarray) -> str:
+    """The header, then a row per point of the tensor grid over `axes`, in C order: its coordinates, then its `values`.
+
+    Each of `values` holds one number per grid point, in that order.  Every
+    number is written as format(v, ".17g") writes it.
+    """
+    # A block of rows is one %-format.  Its template is, per point of the
+    # leading axes, that point's label prefix before each line of the tail:
+    # the block's last-axis labels, formatted once, with their value fields.
+    *lead, last = axes
+    lead = [("%.17g\n" * len(axis) % tuple(axis.tolist())).split() for axis in lead]
+    shape = (prod(map(len, lead)), len(last))
+    cells = np.stack([np.reshape(v, shape) for v in values], axis=-1)
+    row = "%.17g" + ",%%.17g" * len(values) + "\n"  # "%%" leaves a value field for the block's format
+
+    @functools.lru_cache(maxsize=1)  # a short last axis is one block, formatted once
+    def tail(j: int) -> str:
+        labels = last[j : j + _CSV_ROWS]
+        return (row * len(labels) % tuple(labels.tolist()))[:-1]
+
+    prefixes = (",".join(c + ("",)) for c in itertools.product(*lead))
+    step = max(1, _CSV_ROWS // max(1, len(last)))  # leading points per block
     parts = [header + "\n"]
-    for start in range(0, rows.shape[0], _CSV_ROWS):
-        block = rows[start : start + _CSV_ROWS]
-        values = block.ravel().tolist()
-        if labels is not None:
-            # each row's label, then its values; islice takes this block's labels only
-            columns = (column.tolist() for column in block.T)
-            values = itertools.chain.from_iterable(zip(itertools.islice(labels, len(block)), *columns))
-        parts.append((line * len(block)) % tuple(values))
+    for start in range(0, shape[0], step):
+        group = list(itertools.islice(prefixes, step))
+        for j in range(0, len(last), _CSV_ROWS):
+            lines = tail(j)
+            template = "".join(p + lines.replace("\n", "\n" + p) + "\n" for p in group)
+            parts.append(template % tuple(cells[start : start + step, j : j + _CSV_ROWS].ravel().tolist()))
     return "".join(parts)
 
 
@@ -223,7 +233,7 @@ def _cmd_eval(args) -> int:
         records = [{"x": r[0], "pdf": r[1], "cdf": r[2]} for r in rows]
         _write_output(json.dumps(records, indent=2) + "\n", args.output)
     else:
-        _write_output(_grid_csv(rows, "x,pdf,cdf"), args.output)
+        _write_output(_grid_csv("x,pdf,cdf", [rows[:, 0]], rows[:, 1], rows[:, 2]), args.output)
     return 0
 
 
@@ -350,13 +360,9 @@ def _cmd_joint(args) -> int:
         axes = [_parse_grid(g) for g in grid_specs]
     else:
         raise UsageError(f"--grid needs 1 or {d} semicolon-separated specs")
-    pdf_t = est.pdf_grid(axes)
-    cdf_t = est.cdf_grid(axes)
-    # each axis value is formatted once; product() walks the grid in the C
-    # order of the ij-indexed tensors
-    coords = (",".join(c) for c in itertools.product(*[[_fmt(v) for v in axis] for axis in axes]))
     header = ",".join(f"x{j + 1}" for j in range(d)) + ",pdf,cdf"
-    out_text = _grid_csv(np.column_stack([pdf_t.ravel(), cdf_t.ravel()]), header, coords)
+    # the ij-indexed tensors hold the grid in the C order _grid_csv writes
+    out_text = _grid_csv(header, axes, est.pdf_grid(axes), est.cdf_grid(axes))
     report_text = None
     if args.report is not None:
         payload = {

@@ -79,7 +79,6 @@ from dataclasses import dataclass
 from math import ceil, exp, factorial, lgamma, log, pi, sqrt
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec
@@ -706,7 +705,12 @@ def _gauss_sums(data: np.ndarray, h: float, t: np.ndarray) -> tuple:
     Each target box's coefficients add its source boxes in increasing order,
     elementwise in every array, so a target's sums do not depend on the other
     targets; the working arrays hold about CHUNK entries at a time.
+
+    erfc is imported here, not with the module, so that only a Gaussian
+    evaluation loads `scipy.special` (see `kernels`).
     """
+    from scipy.special import erfc
+
     s, sigma = _box_width(h), sqrt(2.0) * h
     w = s / sigma
     p, reach = int(np.searchsorted(_WIDEST, w)), ceil(sqrt(-log(EXPANSION_TOL)) / w)

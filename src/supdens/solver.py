@@ -45,24 +45,27 @@ endpoint e + s*h*delta rounds to the data's spacing: on 1e9 + Beta with
 h = 0.05 the fitted estimator's own Fhat(e) - target reaches 6e-8 (1e-4 at
 1e12), however small the reported residual.
 
-Look-ahead.  The objectives take an array of points, and each value depends
-on its own point alone: the boundary kernel's is the mean of its own row of
-W terms, which sums as the one-dimensional mean of that row does, and the
-reflection's is `_piece_sums`'s count and window sums of its own four
-pieces.  So one call evaluates every midpoint the next k bisection steps can
-visit, the 2^k - 1 nodes of the tree below the bracket, each formed as
-0.5 * (lo + hi) as a step forms it, and the steps then walk those values:
-roots, residuals, iteration counts, brackets and NumericError texts are the
-one-point loop's, bit for bit.  The set-up asks for g(0), g(1) and the
-data-coordinate start or the first k halvings of [0, 1] in one call.  k is
-the largest depth whose 2^k - 1 points cost at most LOOKAHEAD_TERMS terms,
-a point costing the n terms of a boundary-kernel mean or its reflection
-pieces' `_reach` windows at delta = 0 (their widest), plus 64.  A call
-costs tens of microseconds whatever its size and a point in a small window
-little, so the Epanechnikov solves at n = 100 to 300 look 3 to 6 steps
-ahead.  Where a point costs about a window of n (the boundary kernel
-at n = 2000; the Gaussian, whose four windows hold nearly all n, from a few
-hundred observations) k is 1 and only the set-up is batched.
+Look-ahead.  The objectives take an array of points, of any shape, and
+return their values in that shape; each value depends on its own point
+alone: the boundary kernel's is the mean of its own row of W terms, which
+sums as the one-dimensional mean of that row does, and the reflection's is
+`_piece_sums`'s count and window sums of its own four pieces.  So one call
+evaluates every midpoint the next k bisection steps can visit, the 2^k - 1
+nodes of the tree below the bracket, each formed as 0.5 * (lo + hi) as a
+step forms it, and the steps then walk those values: roots, residuals,
+iteration counts, brackets and NumericError texts are the one-point loop's,
+bit for bit.  The set-up asks for g(0), g(1) and the data-coordinate start
+or the first k halvings of [0, 1] in one call.  k is the largest depth whose
+2^k - 1 points cost at most LOOKAHEAD_TERMS terms, a point costing the n
+terms of a boundary-kernel mean or its reflection pieces' `_reach` windows
+at delta = 0 (their widest), plus 64.  A call costs tens of microseconds
+whatever its size and a point in a small window little, so the Epanechnikov
+solves at n = 100 to 300 look 3 to 6 steps ahead.  Where a point costs about
+a window of n (the boundary kernel at n = 2000; the Gaussian, whose four
+windows hold nearly all n, from a few hundred observations) k is 1 and only
+the set-up is batched; each step then passes its one midpoint as a 0-d
+array, and the objective's arithmetic on it runs in NumPy scalars, at the
+one-point loop's cost.
 """
 
 from __future__ import annotations
@@ -189,6 +192,10 @@ def _lookahead(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, k: i
     ends[p] with its bracket (ends[p - w], ends[p + w]) goes on to p + w/2 if g > 0
     there, else to p - w/2.
     """
+    if k == 1:
+        # one midpoint goes in as a 0-d array, so that g works in NumPy scalars
+        ends = [lo, 0.5 * (lo + hi), hi]
+        return ends, [g(np.array(ends[1])).tolist()]
     ends = [lo, hi]
     for _ in range(k):
         ends = [v for a, b in zip(ends, ends[1:]) for v in (a, 0.5 * (a + b))] + [hi]
@@ -228,12 +235,13 @@ def _bk_extreme_cdf(data: np.ndarray, kernel: KernelSpec, s: int, v):
 
     The mass beyond e is m = mean W((X_i - e) / (v - e)) on either side, so
     Fhat(e) is 1 - m on the right and m on the left.  Each v's mean is the
-    sum of its own row over n, as np.mean forms it.
+    sum of its own row over n, as np.mean forms it; one endpoint's is a
+    NumPy scalar, and so is the rest of its arithmetic.
     """
     e, v = (data[-1] if s > 0 else data[0]), np.asarray(v, dtype=float)
     # for one endpoint the centred row has the quotient's shape, so NumPy divides it in place
-    m = np.add.reduce(kernel.cdf((data[None, :] - e) / (v.reshape(-1, 1) - e)), axis=1) / data.size
-    return (1.0 - m if s > 0 else m).reshape(v.shape)
+    m = np.add.reduce(kernel.cdf((data - e) / (v[..., None] - e)), axis=-1) / data.size
+    return 1.0 - m if s > 0 else m
 
 
 def _extreme_and_target(data: np.ndarray, s: int) -> Tuple[float, float]:
@@ -262,12 +270,13 @@ def _bk_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other:
     block = max(1, LOOKAHEAD_TERMS // n)
 
     def g(d: np.ndarray) -> np.ndarray:
-        out = np.full(d.size, g0)
-        rows = (d != 0.0).nonzero()[0]
+        flat = d.ravel()
+        out = np.full(flat.size, g0)
+        rows = (flat != 0.0).nonzero()[0]
         for k in range(0, rows.size, block):  # so a call holds one row of n, or at most LOOKAHEAD_TERMS
             r = rows[k:k + block]
-            out[r] = 1.0 / (n + 1.0) - np.mean(kernel.cdf(sz / d[r, None]), axis=1)
-        return out
+            out[r] = 1.0 / (n + 1.0) - np.mean(kernel.cdf(sz / flat[r, None]), axis=1)
+        return out.reshape(d.shape)
 
     return g, e, unit, target, e + s * (abs(e) * 1e-12 + 1e-300), n
 
@@ -297,7 +306,7 @@ def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int
 
     def g(d: np.ndarray) -> np.ndarray:
         counts, _, sums = _piece_sums(kernel, z, pieces(d), 1.0, 0.0, False, True)
-        counts, sums = counts.reshape(4, -1), sums.reshape(4, -1)
+        counts, sums = counts.reshape((4,) + d.shape), sums.reshape((4,) + d.shape)
         cdf = (_reflection_sum(False, counts.__getitem__) + _reflection_sum(False, sums.__getitem__)) / z.size
         return s * (cdf - target)
 

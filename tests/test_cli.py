@@ -199,25 +199,21 @@ def test_grid_csv_writes_each_value_as_format_17g(monkeypatch):
         [1.0 / 3.0, -1e16, 2.0 ** 53 + 2.0, 0.0],
     ])
     want = "a,b,c,d\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
-    assert _grid_csv(rows, "a,b,c,d") == want
-    labelled = _grid_csv(rows[:, :2], "x,a,b", ["p", "q", "r"])
-    assert labelled == "x,a,b\n" + "".join(
-        f"{label}," + ",".join(format(v, ".17g") for v in row) + "\n" for label, row in zip("pqr", rows[:, :2])
-    )
-    # the body is one %-format per block of rows over the labels and values
-    # interleaved: every width, blocks of 3 rows and of the default size,
-    # with and without labels (given as an iterator, as `joint` does)
+    assert _grid_csv("a,b,c,d", [rows[:, 0]], *rows[:, 1:].T) == want
+    # a row per grid point in C order, its coordinates then its values: every
+    # dimension and value count, empty axes, and blocks of the default size and
+    # of 3 rows (a last axis split over blocks, or several leading points a block)
     rng = np.random.default_rng(3)
     values = np.concatenate([rows.ravel(), [-1.0, -5e-324, 2.2250738585072014e-308, -123.456],
                              rng.standard_normal(50) * 10.0 ** rng.integers(-320, 300, 50)])
-    for width, block_rows in itertools.product((1, 2, 3, 5), (3, cli._CSV_ROWS)):
+    shapes = ((70,), (2, 5), (5, 2, 1), (4, 1, 3), (0, 3), (3, 0))
+    for shape, width, block_rows in itertools.product(shapes, (1, 2, 3), (3, cli._CSV_ROWS)):
         monkeypatch.setattr(cli, "_CSV_ROWS", block_rows)
-        block = np.resize(values, (values.size // width + 1, width))
-        labels = [f"p{k}" for k in range(block.shape[0])]
-        lines = [",".join(format(v, ".17g") for v in row) + "\n" for row in block]
-        assert _grid_csv(block, "h") == "h\n" + "".join(lines)
-        assert _grid_csv(block, "h", iter(labels)) == "h\n" + "".join(f"{p},{line}" for p, line in zip(labels, lines))
-        assert _grid_csv(block[:0], "h") == _grid_csv(block[:0], "h", iter([])) == "h\n"
+        axes = [np.resize(rng.permutation(values), size) for size in shape]
+        cells = [np.resize(rng.permutation(values), shape) for _ in range(width)]
+        lines = [",".join(format(v, ".17g") for v in [a[i] for a, i in zip(axes, index)] + [c[index] for c in cells])
+                 for index in itertools.product(*map(range, shape))]
+        assert _grid_csv("h", axes, *cells) == "h\n" + "".join(line + "\n" for line in lines)
 
 
 def test_exit_codes(tmp_path, data_file, capsys):
@@ -242,12 +238,16 @@ def test_exit_codes(tmp_path, data_file, capsys):
     capsys.readouterr()
 
 
-def _module_cli(argv, timeout):
-    """`python -m supdens.cli argv` in a fresh process, importing this checkout's src/."""
+def _fresh_python(args, timeout):
+    """`python args` in a fresh process, importing this checkout's src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "supdens.cli"] + argv,
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _module_cli(argv, timeout):
+    """`python -m supdens.cli argv` in a fresh process."""
+    return _fresh_python(["-m", "supdens.cli"] + argv, timeout)
 
 
 def test_module_entry_point_runs_the_cli():
@@ -282,6 +282,35 @@ def test_one_parser_serves_every_call(data_file, tmp_path, capsys):
     assert [proc.returncode for proc in fresh] == [1, 0, 0] and "--bogus" in fresh[0].stderr
     assert outputs() == written
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_epanechnikov_commands_never_load_scipy(data_file, data2d_file, tmp_path):
+    # SciPy is imported by the first Gaussian evaluation: every command run
+    # with the Epanechnikov kernel leaves it unloaded, and a Gaussian fit
+    # after them in the same process writes what a fresh process writes
+    gauss, fresh = str(tmp_path / "gauss.json"), str(tmp_path / "fresh.json")
+    epanechnikov = [argv + ["--output", str(tmp_path / f"out{k}")] for k, argv in enumerate([
+        ["fit", "--kernel", "epanechnikov", "--method", "boundary-kernel", "--mode", "proposed", "--input", data_file],
+        ["fit", "--kernel", "epanechnikov", "--method", "reflection", "--mode", "proposed", "--input", data_file],
+        ["eval", "--model", str(tmp_path / "out1"), "--grid", "0:1:11"],
+        ["solve", "--kernel", "epanechnikov", "--method", "reflection", "--mode", "proposed", "--input", data_file],
+        ["joint", "--kernel", "epanechnikov", "--method", "boundary-kernel", "--mode", "proposed",
+         "--input", data2d_file, "--bandwidth", "0.15", "--grid", "0:1:4"],
+        ["simulate", "--kernel", "epanechnikov", "--n", "20", "--reps", "2", "--seed", "1"],
+    ])]
+    gaussian_fit = ["fit", "--kernel", "gaussian", "--method", "reflection", "--mode", "proposed", "--input", data_file]
+    script = "\n".join([
+        "import sys",
+        "from supdens.cli import run_cli",
+        f"codes = [run_cli(argv) for argv in {epanechnikov!r}]",
+        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+        f"sys.exit(run_cli({gaussian_fit + ['--output', gauss]!r}))",
+    ])
+    proc = _fresh_python(["-c", script], 300)
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 0, 0, 0] []\n"), proc.stderr
+    assert _module_cli(gaussian_fit + ["--output", fresh], 120).returncode == 0
+    with open(gauss, "rb") as a, open(fresh, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_max_iter_is_no_option(data_file, data2d_file, capsys):
