@@ -32,19 +32,23 @@ boundary_kernel
 
 Every estimator is one frozen dataclass, `FittedEstimator`, which checks
 its method, bandwidth, support and kernel when it is built; evaluation is
-pure and thread-safe.  The per-observation term functions (`cdf_terms`,
-`pdf_terms`) return the (m, n) matrices whose row means are cdf/pdf values,
-filled in blocks of at most `BLOCK_ROWS` points and MEAN_CHUNK // n rows;
-the joint's tensor grids and the tests use them.
+pure and thread-safe.  One table, `_piece_table`, places the terms for
+every evaluator: which points carry kernel pieces, each piece's points,
+scale and slope, and the constant term off the support.  The per-observation
+term functions (`cdf_terms`, `pdf_terms`) return the (m, n) matrices whose
+row means are cdf/pdf values, filled in blocks of at most `BLOCK_ROWS`
+sorted points and MEAN_CHUNK // n rows; the joint's tensor grids and the
+tests use them.
 
 A term is saturated (K = 0, and W exactly 0 or 1) wherever |x - X_i| >=
 s(x) times the kernel's saturation radius: the support radius of a compact
 kernel, and for the Gaussian the point (39) beyond which its float64 values
 underflow to exactly 0 or round to exactly 1.  Each piece of a term (the
-naive point x, each reflection mirror, each boundary-kernel scale) has a
-window of sorted columns, found by `searchsorted` (`_reach`), outside which
-its terms are saturated.  The term matrices evaluate the kernel only in the
-windows and write the saturated constants elsewhere, bit for bit the terms
+naive point x, each reflection mirror, the boundary kernel's x at its scale)
+has a window of sorted columns, found by `searchsorted` (`_reach`), outside
+which its terms are saturated.  A term-matrix block evaluates each piece on
+the dense slice of columns its points' windows span and writes the
+saturated constants on either side (`_fill_block`), bit for bit the terms
 the kernel gives.  The `pdf`, `cdf` and `evaluate_grid` of a compact kernel
 form no matrix (`_window_estimates`): a value is the exact count of the
 columns below each piece's window, whose cdf terms are exactly 1, plus the
@@ -232,8 +236,8 @@ def _evaluate(est: FittedEstimator, x, pdf: bool = True, cdf: bool = True) -> li
 # ---------------------------------------------------------------------------
 
 #: Rows of the (m, n) term matrix evaluated at once, at most MEAN_CHUNK // n
-#: (and at least 1).  Each piece of a block is computed into a temporary of a
-#: block's size, so evaluating m points holds the output and a few block-sized
+#: (and at least 1).  A block's pieces are combined WINDOW_CHUNK terms at a
+#: time, so evaluating m points holds the output and a few chunk-sized
 #: temporaries, not m x n ones.  Blocks take the points in sorted order, so the
 #: columns a block must evaluate stay close to those of a single point.
 BLOCK_ROWS = 128
@@ -261,18 +265,13 @@ def _sorting(v: np.ndarray) -> np.ndarray | None:
 
 def _terms(est: FittedEstimator, x: np.ndarray, data: np.ndarray | None, pdf: bool) -> np.ndarray:
     xs = np.asarray(x, dtype=float).ravel()
-    if not np.all(np.isfinite(xs)):
-        raise DataError("evaluation points must be finite")
     # cols[j] is the column of sorted observation j; windows need sorted data
-    cols = None
-    if data is None:
-        data = est.sample.values
-    else:
-        cols = _sorting(data)
-        if cols is not None:
-            data = data[cols]
+    data = est.sample.values if data is None else data
+    cols = _sorting(data)
+    if cols is not None:
+        data = data[cols]
     out = np.empty((xs.size, data.size))
-    step = min(BLOCK_ROWS, max(1, MEAN_CHUNK // data.size))
+    step = min(BLOCK_ROWS, max(1, MEAN_CHUNK // max(1, data.size)))
     # unsorted points are filled in sorted order through one block buffer
     rows = _sorting(xs)
     if rows is not None:
@@ -294,7 +293,8 @@ MEAN_CHUNK = 1 << 20
 
 
 #: Entries per chunk of the window sums: window terms in `_piece_sums`, and
-#: (candidate, observation) pairs in the LSCV's `bandwidth._window_pair_sums`.
+#: (candidate, observation) pairs in the LSCV's `bandwidth._window_pair_sums`;
+#: also the terms per piece that a block of the term matrices combines at once.
 #: Their working arrays of this length then stay in or near a 2-CPU x86_64
 #: VM's 2 MB L2 cache.  With 2^14 entries a chunk against 2^16, a 4001-point
 #: reflection `evaluate_grid` on beta(3,1) data took 4.3 against 6.7 ms at
@@ -304,6 +304,53 @@ MEAN_CHUNK = 1 << 20
 WINDOW_CHUNK = 1 << 14
 
 
+def _piece_table(method: str, h: float, l: float, u: float, x: np.ndarray, pdf: bool) -> tuple:
+    """(on, pieces, scale, slope, const): how the terms at the points x are placed; x must be finite.
+
+    on marks the points that carry kernel pieces: all (naive), [l, u]
+    (reflection) or (l, u) (boundary kernel).  pieces holds each piece's
+    points, per point or a scalar: x; for reflection x, 2l - x, 2u - l (the
+    cdf's) and 2u - x.  scale and slope are s(x) and s'(x): h and 0, but for
+    the boundary kernel x - l and +1 on (l, l+h) and u - x and -1 on
+    [u-h, u), the latter winning should rounding make them overlap.  const
+    is the term off `on`: 1 for the cdf above the support, else 0.
+    """
+    if not np.all(np.isfinite(x)):
+        raise DataError("evaluation points must be finite")
+    zero = np.zeros(x.shape)
+    if method == NAIVE:
+        return np.ones(x.shape, dtype=bool), (x,), h, 0.0, zero
+    if method == REFLECTION:
+        const = zero if pdf else np.where(x > u, 1.0, 0.0)
+        return (x >= l) & (x <= u), _reflection_points(pdf, x, l, u), h, 0.0, const
+    lh, uh = l + h, u - h
+    left, right = (x > l) & (x < lh) & (x < uh), (x >= uh) & (x < u)
+    on = left | right | ((x >= lh) & (x < uh))
+    scale = np.where(left, x - l, np.where(right, u - x, h))
+    slope = np.where(left, 1.0, np.where(right, -1.0, 0.0))
+    return on, (x,), scale, slope, zero if pdf else np.where(x >= u, 1.0, 0.0)
+
+
+def _table_rows(method: str, h: float, l: float, u: float, x: np.ndarray, pdf: bool) -> tuple:
+    """(rows, points, scale, slope, const, combine): the `_piece_table` at its rows, indexed by rows.
+
+    points lays the pieces end to end, a scalar piece as one entry; combine(v, pdf)
+    sums values so laid out per row as the terms combine (`_reflection_sum`).
+    """
+    on, pieces, scale, slope, const = _piece_table(method, h, l, u, x, pdf)
+    rows = slice(None) if on.all() else on.nonzero()[0]
+    at = lambda v: v[rows] if np.ndim(v) else v  # noqa: E731
+    pieces = [np.atleast_1d(at(p)) for p in pieces]
+    ends = np.cumsum([p.size for p in pieces]).tolist()
+
+    def combine(v: np.ndarray, pdf: bool) -> np.ndarray:
+        v = [v[a:b] for a, b in zip([0] + ends, ends)]
+        return v[0] if len(v) == 1 else _reflection_sum(pdf, lambda k: v[(0, 1, -1)[k] if pdf else k])
+
+    points = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    return rows, points, at(scale), at(slope), const, combine
+
+
 def _window_estimates(
     kernel: KernelSpec, method: str, data: np.ndarray, h: float, l: float, u: float, x: np.ndarray,
     pdf: bool = True, cdf: bool = True,
@@ -311,19 +358,19 @@ def _window_estimates(
     """The pdf and/or cdf at the points x, in that order, from exact counts and window sums.
 
     data is the sorted sample and [l, u] the support (naive ignores it).  A
-    value sums the terms of its pieces: the naive point x; reflection's x,
-    2l - x, 2u - l and 2u - x (the pdf takes x, 2l - x and 2u - x); the
-    boundary kernel's x at its one scale.  Below its window [a, b) (`_reach`)
-    a piece's cdf terms are exactly 1 and from b on exactly 0, and its pdf
-    terms are 0 outside, so a piece adds the exact count a (cdf only) and the
-    sum of its b - a window terms (`_piece_sums`); no (m, n) block is formed.
-    Reflection combines the counts as integers, (a_0 - a_1) + (a_2 - a_3),
-    and the window sums in `_reflection_sum`'s order.  At x = l the pieces x
-    and 2l - x, and 2u - l and 2u - x, are the same arrays, so cdf(l) is
-    exactly 0; at x = u, for a compact kernel with h <= (u - l)/2, the pieces
-    x and 2u - x are, 2l - x counts 0 and 2u - l counts n, so cdf(u) is
-    exactly 1.  The cdf is clipped to [0, 1].  A point's value does not
-    depend on the other points evaluated with it.
+    value sums the terms of its pieces (`_piece_table`): the naive point x;
+    reflection's x, 2l - x, 2u - l and 2u - x (the pdf takes x, 2l - x and
+    2u - x); the boundary kernel's x at its one scale.  Below its window
+    [a, b) (`_reach`) a piece's cdf terms are exactly 1 and from b on exactly
+    0, and its pdf terms are 0 outside, so a piece adds the exact count a
+    (cdf only) and the sum of its b - a window terms (`_piece_sums`); no
+    (m, n) block is formed.  Reflection combines the counts as integers,
+    (a_0 - a_1) + (a_2 - a_3), and the window sums in `_reflection_sum`'s
+    order.  At x = l the pieces x and 2l - x, and 2u - l and 2u - x, are the
+    same arrays, so cdf(l) is exactly 0; at x = u, for a compact kernel with
+    h <= (u - l)/2, the pieces x and 2u - x are, 2l - x counts 0 and 2u - l
+    counts n, so cdf(u) is exactly 1.  The cdf is clipped to [0, 1].  A
+    point's value does not depend on the other points evaluated with it.
 
     Tolerance: every term is bit for bit the one `cdf_terms`/`pdf_terms` form,
     and each value is within (k + 5) eps M of the exact mean of the rounded
@@ -335,45 +382,16 @@ def _window_estimates(
     round five times at most, and a full-width row rounds its terms' three
     combinations once each.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.isfinite(x).all():
-        raise DataError("evaluation points must be finite")
     n = data.size
-    pdf_out, cdf_out = np.zeros(x.size), np.zeros(x.size)
-    if method == NAIVE:
-        rows, points, scale, slope = slice(None), x, h, 0.0
-    elif method == REFLECTION:
-        cdf_out[x > u] = 1.0
-        rows = ((x >= l) & (x <= u)).nonzero()[0]
-        points, scale, slope = np.empty((4, rows.size)), h, 0.0
-        for k, p in enumerate(_reflection_points(False, x[rows], l, u)):
-            points[k] = p
-    else:
-        # the rows `_fill_block` gives each scale: x - l on (l, l+h), h on
-        # [l+h, u-h) and u - x on [u-h, u), u - x winning should they overlap
-        cdf_out[x >= u] = 1.0
-        left, right = (x > l) & (x < l + h) & (x < u - h), (x >= u - h) & (x < u)
-        rows = (left | right | ((x >= l + h) & (x < u - h))).nonzero()[0]
-        points = x[rows]
-        left, right = left[rows], right[rows]
-        scale = np.where(left, points - l, np.where(right, u - points, h))
-        slope = np.where(left, 1.0, np.where(right, -1.0, 0.0))
-    counts, pdf_sums, cdf_sums = _piece_sums(kernel, data, points.ravel(), scale, slope, pdf, cdf)
-    if method == REFLECTION:
-        # one row per piece x, 2l - x, 2u - l, 2u - x; the pdf takes rows 0, 1 and 3
-        counts = counts.reshape(4, -1)
-        if pdf:
-            by_piece = pdf_sums.reshape(4, -1)
-            pdf_sums = _reflection_sum(True, lambda k: by_piece[(0, 1, 3)[k]])
-        if cdf:
-            by_piece = cdf_sums.reshape(4, -1)
-            counts, cdf_sums = _reflection_sum(False, counts.__getitem__), _reflection_sum(False, by_piece.__getitem__)
+    rows, points, scale, slope, cdf_out, combine = _table_rows(method, h, l, u, x, not cdf)
+    counts, pdf_sums, cdf_sums = _piece_sums(kernel, data, points, scale, slope, pdf, cdf)
     out = []
     if pdf:
-        pdf_out[rows] = pdf_sums / n
+        pdf_out = np.zeros(x.size)
+        pdf_out[rows] = combine(pdf_sums, True) / n
         out.append(pdf_out)
     if cdf:
-        cdf_out[rows] = np.minimum(np.maximum((counts + cdf_sums) / n, 0.0), 1.0)
+        cdf_out[rows] = np.minimum(np.maximum((combine(counts, False) + combine(cdf_sums, False)) / n, 0.0), 1.0)
         out.append(cdf_out)
     return out
 
@@ -412,86 +430,43 @@ def _fill_block(
     """Write the terms at the sorted points x into out, one row per point.
 
     data is the sorted sample, and sorted observation j belongs in column
-    cols[j] of out (column j when cols is None).
+    cols[j] of out (column j when cols is None).  Each piece is evaluated on
+    the dense slice [min a, max b) of its points' `_reach` windows, and is
+    the saturated constant before it (1 for the cdf, 0 for the pdf) and 0
+    after it.  The pieces combine as in `_reflection_sum`, WINDOW_CHUNK terms
+    at a time between the first and last slice and as one row elsewhere.
     """
-    kernel, h, n = est.kernel, est.h, data.size
-    if cols is not None:
-        out[:] = 0.0  # so that zero segments need no scattered write
-
-    def put(rows: slice, value, start: int = 0, stop: int = n) -> None:
-        # value is a float constant or an array of terms
-        constant = isinstance(value, float)
-        if cols is None or (constant and stop - start == n):
-            out[rows, start:stop] = value
-        elif not constant or value != 0.0:
-            out[rows, cols[start:stop]] = value
-
-    def evaluate(rows: slice, pieces, combine=lambda term: term(0)) -> None:
-        if np.size(pieces[0][0]):
-            for start, stop, term in _segments(kernel, pdf, data, pieces):
-                put(rows, combine(term), start, stop)
-
-    if est.method == NAIVE:
-        evaluate(slice(None), [(x, h, 0.0)])
+    kernel, n = est.kernel, data.size
+    on, pieces, scale, slope, const = _piece_table(est.method, est.h, est.support.lower, est.support.upper, x, pdf)
+    # the points that carry pieces are consecutive among the sorted x: those in
+    # [l, u] or (l, u), or in the boundary kernel's three regions, which join
+    i, j = (on.argmax(), on.size - on[::-1].argmax()) if on.any() else (0, 0)
+    out[:i], out[j:] = const[:i, None], const[j:, None]
+    if i == j:
         return
-    l, u = est.support.lower, est.support.upper
-    # outside the support the pdf terms are 0 and the cdf terms 0 below, 1 above
-    above = 0.0 if pdf else 1.0
-    if est.method == REFLECTION:
-        inside = slice(x.searchsorted(l, "left"), x.searchsorted(u, "right"))
-        put(slice(0, inside.start), 0.0)
-        put(slice(inside.stop, None), above)
-        points = _reflection_points(pdf, x[inside], l, u)
-        evaluate(inside, [(p, h, 0.0) for p in points], lambda term: _reflection_sum(pdf, term))
-        return
-    # boundary kernel: scale x - l, h and u - x on (l, l+h), [l+h, u-h) and
-    # [u-h, u); x == l and x == u keep the outside values, which are the
-    # limits of the adjacent pieces for observations strictly inside the
-    # support.  Should rounding make the pieces overlap, the later one wins.
-    i0, i3 = x.searchsorted(l, "right"), x.searchsorted(u, "left")
-    i1, i2 = x.searchsorted([l + h, u - h], "left")
-    put(slice(0, min(i0, i2)), 0.0)
-    put(slice(i3, None), above)
-    for rows, scale, slope in (
-        (slice(i0, min(i1, i2)), lambda v: v - l, 1.0),
-        (slice(i1, i2), lambda v: h, 0.0),
-        (slice(i2, i3), lambda v: u - v, -1.0),
-    ):
-        evaluate(rows, [(x[rows], scale(x[rows]), slope)])
+    at = lambda v: v[i:j, None] if np.ndim(v) else v  # noqa: E731
+    pieces, scale, slope = [at(p) for p in pieces], at(scale), at(slope)
+    slices = [(np.min(a), np.max(b)) for a, b in (_reach(data, p, scale, kernel.saturation) for p in pieces)]
+    filled = [(a, b) for a, b in slices if a < b]
+    lo, hi = (min(a for a, _ in filled), max(b for _, b in filled)) if filled else (n, n)
+    below = 0.0 if pdf else 1.0
 
+    def term(k: int, c: int, e: int):
+        # piece k's terms on the columns [c, e): a constant or one row of them where its slice misses them
+        p, (a, b) = pieces[k], (min(max(v, c), e) for v in slices[k])
+        if a == b:
+            return below if a == e else 0.0 if a == c else np.where(np.arange(c, e) < a, below, 0.0)
+        terms = _scaled_terms(kernel, pdf, p, data[a:b], scale, slope)
+        if (a, b) == (c, e):
+            return terms
+        t = np.empty(terms.shape[:-1] + (e - c,))
+        t[..., : a - c], t[..., a - c : b - c], t[..., b - c :] = below, terms, 0.0
+        return t
 
-def _segments(kernel: KernelSpec, pdf: bool, data: np.ndarray, pieces):
-    """Yield (start, stop, term) over runs of columns that cover all n.
-
-    pieces are (p, scale, slope) triples, p and scale scalars or one value
-    per row; term(k) is piece k's `_scaled_terms` on the columns
-    [start, stop), computed when asked for.  The kernel is evaluated only
-    inside each piece's window (see `_window`); elsewhere a piece's terms are
-    the constants the kernel saturates to, 0 for the pdf and 1 or 0 for the
-    cdf.
-    """
-    n = data.size
-    spans = [_window(data, p, scale, kernel.saturation) for p, scale, _ in pieces]
-    cuts = sorted({0, n}.union(*spans))
-    for start, stop in zip(cuts, cuts[1:]):
-
-        def term(k: int, start=start, stop=stop):
-            (p, scale, slope), (a, b) = pieces[k], spans[k]
-            if a <= start and stop <= b:
-                return _scaled_terms(kernel, pdf, _column(p), data[start:stop], _column(scale), slope)
-            return 0.0 if pdf or start >= b else 1.0
-
-        yield start, stop, term
-
-
-def _column(v):
-    return v[:, None] if isinstance(v, np.ndarray) else v
-
-
-def _window(data: np.ndarray, p, scale, radius: float) -> tuple:
-    """Columns [a, b) of the sorted data outside which |z| >= radius for every element of p and scale."""
-    a, b = _reach(data, p, scale, radius)
-    return int(a.min()), int(b.max())
+    cuts = sorted({0, hi, n}.union(range(lo, hi, max(1, WINDOW_CHUNK // (j - i)))))
+    for c, e in zip(cuts, cuts[1:]):
+        value = term(0, c, e) if len(pieces) == 1 else _reflection_sum(pdf, lambda k: term(k, c, e))
+        out[i:j, slice(c, e) if cols is None else cols[c:e]] = value
 
 
 def _reach(data: np.ndarray, p, scale, radius: float) -> tuple:
@@ -658,22 +633,12 @@ def _gauss_estimates(est: FittedEstimator, x: np.ndarray) -> tuple:
     target alone, so at x = l both differences are exactly 0.  The pdf is
     clipped at 0 and the cdf to [0, 1].
     """
-    if not np.all(np.isfinite(x)):
-        raise DataError("evaluation points must be finite")
     data, h, n = est.sample.values, est.h, est.sample.n
-    if est.method == NAIVE:
-        phi, cdf = _gauss_sums(data, h, x)
-        return np.maximum(phi / (n * h), 0.0), np.clip(cdf / n, 0.0, 1.0)
-    l, u = est.support.lower, est.support.upper
-    pdf, cdf = np.zeros(x.size), np.where(x > u, 1.0, 0.0)
-    inside = np.flatnonzero((x >= l) & (x <= u))
-    if inside.size:
-        parts = [np.atleast_1d(p) for p in _reflection_points(False, x[inside], l, u)]
-        sums = _gauss_sums(data, h, np.concatenate(parts))
-        cuts = np.cumsum([p.size for p in parts])[:-1]
-        (p0, p1, _, p3), (c0, c1, c2, c3) = (np.split(v, cuts) for v in sums)
-        pdf[inside] = np.maximum((p0 + p1 + p3) / (n * h), 0.0)
-        cdf[inside] = np.clip(((c0 - c1) + (c2 - c3)) / n, 0.0, 1.0)
+    rows, points, _, _, cdf, combine = _table_rows(est.method, h, est.support.lower, est.support.upper, x, False)
+    phi, Phi = _gauss_sums(data, h, points)
+    pdf = np.zeros(x.size)
+    pdf[rows] = np.maximum(combine(phi, True) / (n * h), 0.0)
+    cdf[rows] = np.clip(combine(Phi, False) / n, 0.0, 1.0)
     return pdf, cdf
 
 

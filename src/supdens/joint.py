@@ -14,9 +14,10 @@ endpoint (and 0 below the lower one), sending all coordinates but one above
 their endpoints reproduces the remaining marginal, and the joint CDF hits 1
 at the estimated upper corner.
 
-Neither evaluation path forms the (points, observations) product.  Outside
-its kernel windows (`estimators._reach`) a term is exactly 0 or exactly 1,
-and `fit_joint` sorts each coordinate once: `order[j]` lists the
+Neither evaluation path forms the (points, observations) product.  Each
+coordinate's terms are placed by `estimators._piece_table`.  Outside its
+kernel windows (`estimators._reach`) a term is exactly 0 or exactly 1, and
+`fit_joint` sorts each coordinate once: `order[j]` lists the
 observations by coordinate j and `ranks[j]` holds each one's place in it.
 
 Scattered points.  At a point, coordinate j's ranks fall into a run
@@ -83,10 +84,9 @@ from .estimators import (
     Sample,
     _chunks,
     _ranges,
+    _piece_table,
     _reach,
-    _reflection_points,
     _reflection_sum,
-    _reflection_terms,
     _scaled_terms,
     cdf_terms,
     pdf_terms,
@@ -185,8 +185,6 @@ class JointEstimator:
     def _values(self, x, pdf: bool) -> np.ndarray:
         """(C + S)/n at each point: the run count C and the candidates' sum S."""
         pts = _as_points(x, self.d)
-        if not np.all(np.isfinite(pts)):
-            raise DataError("evaluation points must be finite")
         layouts = [_layout(est, self.sorted[j], pts[:, j], pdf) for j, est in enumerate(self.marginals)]
         run = np.array([lay.run[1] for lay in layouts]) > 0
         span = np.array([sum(width for _, width in lay.spans) for lay in layouts])
@@ -348,43 +346,38 @@ class _Layout:
     term is exactly 0.
     """
 
-    def __init__(self, est: FittedEstimator, data: np.ndarray, pdf: bool, x, scale, slope, plain, run, spans, cover):
+    def __init__(self, est: FittedEstimator, data, pdf: bool, pieces, scale, slope, plain, run, spans, cover):
         self.est, self.data, self.pdf = est, data, pdf
-        self.x, self.scale, self.slope, self.plain = x, scale, slope, plain
+        self.pieces, self.scale, self.slope, self.plain = pieces, scale, slope, plain
         self.run, self.spans, self.cover = run, spans, cover
 
     def take(self, idx: np.ndarray) -> "_Layout":
         """The layout at the points idx."""
-        pick = lambda v: None if v is None else v[idx]  # noqa: E731
+        pick = lambda v: v[idx] if np.ndim(v) else v  # noqa: E731
         group = lambda intervals: [(start[idx], width[idx]) for start, width in intervals]  # noqa: E731
-        return _Layout(self.est, self.data, self.pdf, self.x[idx], pick(self.scale), pick(self.slope),
-                       pick(self.plain), group([self.run])[0], group(self.spans), group(self.cover))
+        return _Layout(self.est, self.data, self.pdf, [pick(p) for p in self.pieces], pick(self.scale),
+                       pick(self.slope), pick(self.plain), group([self.run])[0], group(self.spans), group(self.cover))
 
     def terms(self, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The term of the observation of rank r[k] at point q[k], as `cdf_terms`/`pdf_terms` form it."""
-        est, pdf = self.est, self.pdf
-        if est.method != REFLECTION:
-            return _scaled_terms(est.kernel, pdf, self.x[q], self.data[r], self.scale[q], self.slope[q])
-        plain = self.plain[q]
-        if q.ndim > 1 or plain.all() or not plain.any():
-            return _reflection_at(est, pdf, self.x[q], self.data[r], plain.all())
-        out = np.empty(q.size)
-        for rows, each in ((np.flatnonzero(plain), True), (np.flatnonzero(~plain), False)):
-            out[rows] = _reflection_at(est, pdf, self.x[q[rows]], self.data[r[rows]], each)
-        return out
+        """The term of the observation of rank r[k] at point q[k], as `cdf_terms`/`pdf_terms` form it.
 
+        At plain points (see `_layout`) the reflection mirrors' windows are empty, and their
+        terms are the saturated constants: 0 at 2l - x and, for the cdf, 1 above u.
+        """
+        est, pdf, plain = self.est, self.pdf, None if self.plain is None else self.plain[q]
+        if plain is not None and q.ndim == 1 and plain.any() and not plain.all():
+            out = np.empty(q.size)
+            for rows in (np.flatnonzero(plain), np.flatnonzero(~plain)):
+                out[rows] = self.terms(q[rows], r[rows])
+            return out
+        at = lambda v: v[q] if np.ndim(v) else v  # noqa: E731
 
-def _reflection_at(est: FittedEstimator, pdf: bool, x: np.ndarray, data: np.ndarray, plain: bool) -> np.ndarray:
-    """Reflection terms of the observations data at the points x, elementwise, as `_reflection_terms` forms them.
+        def term(k: int):
+            if k and plain.all():
+                return 0.0 if pdf or k == 1 else 1.0
+            return _scaled_terms(est.kernel, pdf, at(self.pieces[k]), self.data[r], at(self.scale), at(self.slope))
 
-    At plain points (see `_layout`) the mirrors' windows are empty, and their
-    terms are the saturated constants: 0 at 2l - x and, for the cdf, 1 above u.
-    """
-    l, u = est.support.lower, est.support.upper
-    if not plain:
-        return _reflection_terms(est.kernel, pdf, x, data, est.h, l, u)
-    saturated = (None, 0.0, 0.0) if pdf else (None, 0.0, 1.0, 1.0)
-    return _reflection_sum(pdf, lambda k: saturated[k] if k else _scaled_terms(est.kernel, pdf, x, data, est.h))
+        return term(0) if len(self.pieces) == 1 else _reflection_sum(pdf, term)
 
 
 def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) -> _Layout:
@@ -397,17 +390,14 @@ def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) ->
     2l - x: the run is [b1, max(a0, b1)), and the cover [a1, b0) and the
     upper span.  Every other rank outside the spans has the four W all 1 or
     the pair at x and 2l - x both 0 with the upper pair equal: its term is
-    0.  Boundary kernel: one
-    piece of window [a, b), scaled as in `estimators._fill_block`; below a
-    the cdf term is 1.  Off the support every term is 0, or 1 for the cdf
-    above it.
+    0.  Boundary kernel: one piece of window [a, b), at the scale
+    `estimators._piece_table` gives; below a the cdf term is 1.  Off the
+    support every term is 0, or 1 for the cdf above it.
     """
     n, h, radius = data.size, est.h, est.kernel.saturation
-    l, u = est.support.lower, est.support.upper
+    inside, pieces, scale, slope, const = _piece_table(est.method, h, est.support.lower, est.support.upper, x, pdf)
     none = np.zeros(x.size, dtype=np.intp)
     if est.method == REFLECTION:
-        inside, above = (x >= l) & (x <= u), x > u
-        pieces = _reflection_points(pdf, x, l, u)
         (a0, b0), (a1, b1) = (_reach(data, p, h, radius) for p in pieces[:2])
         # the mirrors above u: 2u - x, and for the cdf 2u - l, whose window ends last
         a_up, b_up = _reach(data, pieces[-1], h, radius)[0], _reach(data, pieces[2], h, radius)[1]
@@ -415,27 +405,21 @@ def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) ->
         spans = _joined([(a1, b1), (np.maximum(a0, b1), b0), upper])
         run, cover = (b1, np.maximum(a0, b1)), [(a1, b0), upper]
         # plain: the mirrors' windows are empty, at rank 0 below l and at n above u
-        scale, slope, plain = None, None, (b1 == 0) & (a_up == n)
+        plain = (b1 == 0) & (a_up == n)
     else:
-        inside, above = (x > l) & (x < u), x >= u
-        # the later region wins where rounding makes l + h exceed u - h; off the
-        # support, h keeps the terms that a block evaluates there (and drops) finite
-        right, mid = (x >= u - h) & (x < u), (x >= l + h) & (x < u - h)
-        scale = np.where(right, u - x, np.where(mid | ~inside, h, x - l))
-        slope = np.where(right, -1.0, np.where(mid, 0.0, 1.0))
         a, b = _reach(data, x, scale, radius)
         spans, plain = [(a, b)], None
         run, cover = (none, a), [(none, b)]
     if pdf:
         run, cover = (none, none), spans
     # off the support there are no spans, and above it the cdf's run holds all n ranks
-    full = np.where(above & (not pdf), n, 0)
+    full = np.where(const > 0.0, n, 0)
     on = lambda v, off=0: np.where(inside, v, off)  # noqa: E731
     run = (on(run[0]), on(run[1], full))
     spans = [(on(a), on(b)) for a, b in spans]
     cover = spans if pdf else [(on(a), on(b, full if i == 0 else 0)) for i, (a, b) in enumerate(cover)]
     widths = lambda group: [(a, b - a) for a, b in group]  # noqa: E731
-    return _Layout(est, data, pdf, x, scale, slope, plain, widths([run])[0], widths(spans), widths(cover))
+    return _Layout(est, data, pdf, pieces, scale, slope, plain, widths([run])[0], widths(spans), widths(cover))
 
 
 def _joined(spans) -> list:

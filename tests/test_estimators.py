@@ -295,6 +295,18 @@ def test_chunked_means_equal_term_matrix_means(method, kernel, chunk, monkeypatc
 
 
 @pytest.mark.parametrize("method", ["naive", "reflection", "boundary_kernel"])
+@pytest.mark.parametrize("terms", [pdf_terms, cdf_terms])
+def test_terms_of_an_empty_column(method, terms):
+    # an empty data column gives an (m, 0) matrix, and no column gives (m, n)
+    sample, support = Sample([0.3, 0.5, 0.7]), SupportInterval(0.0, 1.0)
+    est = FittedEstimator(method, sample, 0.2, UNBOUNDED if method == NAIVE else support, EPANECHNIKOV)
+    x = np.array([0.5, -1.0, 0.1, 2.0])
+    assert terms(est, x, np.array([])).shape == (4, 0)
+    assert terms(est, x[:0], np.array([])).shape == (0, 0)
+    assert terms(est, x).shape == (4, 3)
+
+
+@pytest.mark.parametrize("method", ["naive", "reflection", "boundary_kernel"])
 @pytest.mark.parametrize("which", ["pdf", "cdf"])
 def test_nonfinite_points_rejected(method, which):
     sample, support = Sample([0.3, 0.5, 0.7]), SupportInterval(0.0, 1.0)

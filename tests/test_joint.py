@@ -311,3 +311,53 @@ def test_run_count_holds_each_points_own_run():
     sel = np.r_[0:5, m]
     products = cdf_terms(je.marginals[0], xs[sel, 0], ms.rows[:, 0]) * cdf_terms(je.marginals[1], xs[sel, 1], ms.rows[:, 1])
     assert_row_means(got[sel], products, clip=True)
+
+
+def test_grids_take_their_terms_through_the_joint_module(monkeypatch):
+    # the benchmark's per-layer spans and its self-test wrap `pdf_terms` and
+    # `cdf_terms` where `joint` looks them up, so a grid that reached the term
+    # matrices another way would leave the `joint_grid` gate and the
+    # `estimators.*_terms` metrics blind to them
+    rng = np.random.default_rng(62)
+    je = fit_joint(MultiSample(beta_rows(rng, 200)), 0.1, EPANECHNIKOV, REFLECTION, SupportMode.known(0.0, 1.0))
+    axes = [np.linspace(0.05, 0.95, 11), np.linspace(0.1, 0.9, 7)]
+    before = je.cdf_grid(axes), je.pdf_grid(axes)
+    for name in ("cdf_terms", "pdf_terms"):
+        monkeypatch.setattr(joint, name, lambda *args, terms=getattr(joint, name): terms(*args) * (1.0 + 1e-3))
+    after = je.cdf_grid(axes), je.pdf_grid(axes)
+    for old, new in zip(before, after):
+        # each of the two factors of every product is scaled
+        assert np.all(old > 0.0) and np.allclose(new, old * (1.0 + 1e-3) ** 2, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("method", [REFLECTION, BOUNDARY_KERNEL])
+def test_tensor_grid_memory(method):
+    # the benchmark's grid: 201^2 at n = 2000 on beta(3,1) x beta(2,2) data
+    # with h = (0.05, 0.08); each axis's term matrix is 3.2 MB, and the row
+    # blocks and BLAS slices add a few blocks of BLOCK_ROWS rows
+    rng = np.random.default_rng(63)
+    ms = MultiSample(np.column_stack([rng.beta(3.0, 1.0, 2000), rng.beta(2.0, 2.0, 2000)]))
+    je = fit_joint(ms, [0.05, 0.08], EPANECHNIKOV, method, SupportMode.proposed())
+    axes = [np.linspace(l - 0.05, u + 0.05, 201) for l, u in je.rectangle]
+    for grid in (je.cdf_grid, je.pdf_grid):
+        tracemalloc.start()
+        try:
+            grid(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"{grid.__name__}: tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_scattered_joint_places_terms_as_the_grid_where_l_plus_h_rounds_to_l():
+    # at l = 1e9 a bandwidth of 1e-8 is below half an ulp, so l + h == l and the
+    # boundary kernel's middle region starts at x = l; the scattered joint takes
+    # its rows from the same table as the term matrices, so it agrees with the
+    # grid and the marginal there (it read 0 where they read 0.3)
+    x = 1e9 + np.array([0.0, 0.0, 2.5e-8, 0.5, 1.0])
+    je = fit_joint(MultiSample(np.column_stack([x, np.linspace(0.0, 1.0, 5)])), [1e-8, 0.2], EPANECHNIKOV,
+                   BOUNDARY_KERNEL, [SupportMode.known(1e9, 1e9 + 1.0), SupportMode.known(-0.5, 1.5)])
+    assert 1e9 + 1e-8 == 1e9
+    point = np.array([[1e9, 2.0]])
+    grid = je.cdf_grid([point[:, 0], point[:, 1]])
+    assert je.cdf(point)[0] == grid[0, 0] == je.marginals[0].cdf(1e9) == 0.3
