@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bandwidth import lscv_bandwidth
+from .bandwidth import check_policy, select_bandwidth
 from .errors import ConfigError, DataError, NumericError
 from .estimators import (
     BOUNDARY_KERNEL,
@@ -31,7 +31,7 @@ from .estimators import (
     evaluate_grid,
 )
 from .joint import MultiSample, fit_joint
-from .kernels import get_kernel
+from .kernels import get_kernel, kernel_names
 from .simulate import ExperimentSpec, TABLE_METHODS, run_experiment
 from .solver import SupportMode, fit, solve_support
 
@@ -129,19 +129,15 @@ def _parse_mode(args) -> Optional[SupportMode]:
     return SupportMode(kind, lower, upper)
 
 
-def _parse_bandwidth(policy: str, d: int = 1):
-    """--bandwidth for d coordinates: "lscv", or d positive floats (one value is shared)."""
-    if policy == "lscv":
-        return policy
+def _parse_bandwidth(text: str, d: int = 1) -> list:
+    """--bandwidth for d coordinates: one `check_policy` policy, shared, or one per coordinate, comma-separated."""
     try:
-        hs = [float(v) for v in policy.split(",")]
-    except ValueError:
-        raise UsageError(f"--bandwidth must be 'lscv' or numbers, got {policy!r}") from None
-    if len(hs) not in (1, d):
-        raise UsageError(f"--bandwidth needs one value or one per coordinate ({d}), got {policy!r}")
-    if not all(h > 0 for h in hs):
-        raise UsageError("--bandwidth must be positive")
-    return hs * (d // len(hs))
+        policies = [check_policy(value) for value in text.split(",")]
+    except ConfigError as exc:
+        raise UsageError(f"--bandwidth {text!r}: {exc}") from None
+    if len(policies) not in (1, d):
+        raise UsageError(f"--bandwidth needs one value or one per coordinate ({d}), got {text!r}")
+    return policies * (d // len(policies))
 
 
 #: Grid rows per %-format in `_grid_csv`, so that one block's template and
@@ -189,8 +185,7 @@ def _univariate_inputs(args):
     kernel = get_kernel(args.kernel)
     sample = Sample(_read_csv(args.input, columns=1)[:, 0])
     mode = _parse_mode(args)
-    h = _parse_bandwidth(args.bandwidth)
-    h = lscv_bandwidth(sample, kernel) if h == "lscv" else h[0]
+    h = select_bandwidth(sample, kernel, _parse_bandwidth(args.bandwidth)[0])
     return kernel, sample, _METHOD_NAMES[args.method], mode, h
 
 
@@ -325,8 +320,7 @@ def _cmd_simulate(args) -> int:
     if args.methods is not None:
         given["methods"] = tuple(_method_spec(label) for label in args.methods.split(","))
     if args.bandwidth:
-        hs = _parse_bandwidth(args.bandwidth)
-        given["bandwidth"] = hs if hs == "lscv" else hs[0]
+        given["bandwidth"] = _parse_bandwidth(args.bandwidth)[0]
     if args.n:
         given["ns"] = tuple(args.n)
     dists = [_parse_dist(d) for d in args.dist] if args.dist else [{}]
@@ -344,14 +338,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_joint(args) -> int:
     kernel = get_kernel(args.kernel)
-    arr = _read_csv(args.input)
-    data = MultiSample(arr)
+    data = MultiSample(_read_csv(args.input))
     d = data.d
     mode = _parse_mode(args)
     method = _METHOD_NAMES[args.method]
-    hs = _parse_bandwidth(args.bandwidth, d)
-    if hs == "lscv":
-        hs = [lscv_bandwidth(data.coordinate(j), kernel) for j in range(d)]
+    hs = [select_bandwidth(data.coordinate(j), kernel, p) for j, p in enumerate(_parse_bandwidth(args.bandwidth, d))]
     est = fit_joint(data, hs, kernel, method, mode)
     grid_specs = args.grid.split(";")
     if len(grid_specs) == 1:
@@ -387,7 +378,7 @@ def _build_parser() -> _Parser:
 
     def estimator_options(p, methods, modes, mode_required=True):
         p.add_argument("--input", required=True, help="headerless CSV of observations")
-        p.add_argument("--kernel", default="epanechnikov", choices=["epanechnikov", "gaussian"])
+        p.add_argument("--kernel", default="epanechnikov", choices=kernel_names())
         p.add_argument("--bandwidth", default="lscv", help="'lscv' or a positive number")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--method", required=True, choices=methods)
@@ -418,7 +409,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--n", action="append", type=int, help="sample size (repeatable)")
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--kernel", default=None, choices=["epanechnikov", "gaussian"])
+    p_sim.add_argument("--kernel", default=None, choices=kernel_names())
     p_sim.add_argument("--bandwidth", default=None)
     p_sim.add_argument("--methods", default=None,
                        help="comma list from: " + ",".join(sorted(_METHOD_LABELS)))

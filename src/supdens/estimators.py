@@ -85,7 +85,7 @@ from math import ceil, exp, factorial, lgamma, log, pi, sqrt
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _special
 
 __all__ = [
     "Sample",
@@ -166,8 +166,8 @@ class FittedEstimator:
 
     The naive method takes the support (-inf, inf).  The corrected methods take
     a bounded support containing the sample, at least 2h long; the boundary
-    kernel also needs a compact kernel.  Immutable; pdf/cdf evaluation is safe
-    from any number of threads.
+    kernel also needs a compact kernel.  Immutable; pdf(x) and cdf(x) take x's
+    shape (a float at a scalar or 0-d x) and are safe from any number of threads.
     """
 
     method: str
@@ -200,11 +200,11 @@ class FittedEstimator:
 
     def pdf(self, x) -> float | np.ndarray:
         (out,) = _evaluate(self, x, cdf=False)
-        return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
     def cdf(self, x) -> float | np.ndarray:
         (out,) = _evaluate(self, x, pdf=False)
-        return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def evaluate_grid(est: FittedEstimator, grid) -> np.ndarray:
@@ -530,14 +530,6 @@ def _reflection_sum(pdf: bool, term) -> np.ndarray:
     return (term(0) - term(1)) + (term(2) - term(3))
 
 
-def _reflection_terms(
-    kernel: KernelSpec, pdf: bool, x, data: np.ndarray, h: float, l: float, u: float
-) -> np.ndarray:
-    """Reflection terms for x in [l, u], evaluated on every column: naive terms at x and its mirrors."""
-    points = _reflection_points(pdf, x, l, u)
-    return _reflection_sum(pdf, lambda k: _scaled_terms(kernel, pdf, points[k], data, h))
-
-
 # ---------------------------------------------------------------------------
 # The Gaussian kernel's sums by a fast Gauss transform: box moments of the
 # sorted sample and Taylor (Hermite) expansions about boxes of targets.  The
@@ -670,12 +662,8 @@ def _gauss_sums(data: np.ndarray, h: float, t: np.ndarray) -> tuple:
     Each target box's coefficients add its source boxes in increasing order,
     elementwise in every array, so a target's sums do not depend on the other
     targets; the working arrays hold about CHUNK entries at a time.
-
-    erfc is imported here, not with the module, so that only a Gaussian
-    evaluation loads `scipy.special` (see `kernels`).
     """
-    from scipy.special import erfc
-
+    erfc = _special().erfc
     s, sigma = _box_width(h), sqrt(2.0) * h
     w = s / sigma
     p, reach = int(np.searchsorted(_WIDEST, w)), ceil(sqrt(-log(EXPANSION_TOL)) / w)

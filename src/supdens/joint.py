@@ -18,7 +18,8 @@ Neither evaluation path forms the (points, observations) product.  Each
 coordinate's terms are placed by `estimators._piece_table`.  Outside its
 kernel windows (`estimators._reach`) a term is exactly 0 or exactly 1, and
 `fit_joint` sorts each coordinate once: `order[j]` lists the
-observations by coordinate j and `ranks[j]` holds each one's place in it.
+observations by coordinate j and `ranks[j]` holds each one's place in it,
+at which marginal j's sorted sample holds its value (up to the sign of a zero).
 
 Scattered points.  At a point, coordinate j's ranks fall into a run
 [lo_j, hi_j) whose cdf terms are exactly 1 (empty for the pdf), the spans
@@ -148,8 +149,7 @@ class JointEstimator:
     The marginals share the observation index: marginal j is fitted on the
     j-th coordinate of the same rows, and the product couples the terms
     per observation.  Immutable after fit; evaluation is thread-safe.
-    order[j] is the stable argsort of coordinate j, ranks[j] its inverse and
-    sorted[j] the sorted coordinate.
+    order[j] is the stable argsort of coordinate j and ranks[j] its inverse.
     """
 
     data: MultiSample
@@ -157,14 +157,12 @@ class JointEstimator:
     reports: Tuple[Optional[SolveReport], ...]
     order: np.ndarray = field(init=False, repr=False, compare=False)
     ranks: np.ndarray = field(init=False, repr=False, compare=False)
-    sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = self.data.rows.T
-        order = np.argsort(rows, axis=1, kind="stable")
+        order = np.argsort(self.data.rows.T, axis=1, kind="stable")
         ranks = np.empty_like(order)
         np.put_along_axis(ranks, order, np.arange(self.data.n), axis=1)
-        for name, value in (("order", order), ("ranks", ranks), ("sorted", np.take_along_axis(rows, order, axis=1))):
+        for name, value in (("order", order), ("ranks", ranks)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -185,7 +183,7 @@ class JointEstimator:
     def _values(self, x, pdf: bool) -> np.ndarray:
         """(C + S)/n at each point: the run count C and the candidates' sum S."""
         pts = _as_points(x, self.d)
-        layouts = [_layout(est, self.sorted[j], pts[:, j], pdf) for j, est in enumerate(self.marginals)]
+        layouts = [_layout(est, pts[:, j], pdf) for j, est in enumerate(self.marginals)]
         run = np.array([lay.run[1] for lay in layouts]) > 0
         span = np.array([sum(width for _, width in lay.spans) for lay in layouts])
         # coordinate k takes candidates only at points where every earlier coordinate
@@ -346,8 +344,8 @@ class _Layout:
     term is exactly 0.
     """
 
-    def __init__(self, est: FittedEstimator, data, pdf: bool, pieces, scale, slope, plain, run, spans, cover):
-        self.est, self.data, self.pdf = est, data, pdf
+    def __init__(self, est: FittedEstimator, pdf: bool, pieces, scale, slope, plain, run, spans, cover):
+        self.est, self.pdf = est, pdf
         self.pieces, self.scale, self.slope, self.plain = pieces, scale, slope, plain
         self.run, self.spans, self.cover = run, spans, cover
 
@@ -355,7 +353,7 @@ class _Layout:
         """The layout at the points idx."""
         pick = lambda v: v[idx] if np.ndim(v) else v  # noqa: E731
         group = lambda intervals: [(start[idx], width[idx]) for start, width in intervals]  # noqa: E731
-        return _Layout(self.est, self.data, self.pdf, [pick(p) for p in self.pieces], pick(self.scale),
+        return _Layout(self.est, self.pdf, [pick(p) for p in self.pieces], pick(self.scale),
                        pick(self.slope), pick(self.plain), group([self.run])[0], group(self.spans), group(self.cover))
 
     def terms(self, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -370,18 +368,18 @@ class _Layout:
             for rows in (np.flatnonzero(plain), np.flatnonzero(~plain)):
                 out[rows] = self.terms(q[rows], r[rows])
             return out
-        at = lambda v: v[q] if np.ndim(v) else v  # noqa: E731
+        at, data = (lambda v: v[q] if np.ndim(v) else v), est.sample.values[r]  # noqa: E731
 
         def term(k: int):
             if k and plain.all():
                 return 0.0 if pdf or k == 1 else 1.0
-            return _scaled_terms(est.kernel, pdf, at(self.pieces[k]), self.data[r], at(self.scale), at(self.slope))
+            return _scaled_terms(est.kernel, pdf, at(self.pieces[k]), data, at(self.scale), at(self.slope))
 
         return term(0) if len(self.pieces) == 1 else _reflection_sum(pdf, term)
 
 
-def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) -> _Layout:
-    """The `_Layout` of the sorted coordinate data at the points x.
+def _layout(est: FittedEstimator, x: np.ndarray, pdf: bool) -> _Layout:
+    """The `_Layout` of the marginal's sorted sample at the points x.
 
     Reflection: the windows of the pieces at 2l - x, x and the mirrors above u
     are in that order, so their spans are [a1, b1), [max(a0, b1), b0) and
@@ -394,7 +392,7 @@ def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) ->
     `estimators._piece_table` gives; below a the cdf term is 1.  Off the
     support every term is 0, or 1 for the cdf above it.
     """
-    n, h, radius = data.size, est.h, est.kernel.saturation
+    data, n, h, radius = est.sample.values, est.sample.n, est.h, est.kernel.saturation
     inside, pieces, scale, slope, const = _piece_table(est.method, h, est.support.lower, est.support.upper, x, pdf)
     none = np.zeros(x.size, dtype=np.intp)
     if est.method == REFLECTION:
@@ -419,7 +417,7 @@ def _layout(est: FittedEstimator, data: np.ndarray, x: np.ndarray, pdf: bool) ->
     spans = [(on(a), on(b)) for a, b in spans]
     cover = spans if pdf else [(on(a), on(b, full if i == 0 else 0)) for i, (a, b) in enumerate(cover)]
     widths = lambda group: [(a, b - a) for a, b in group]  # noqa: E731
-    return _Layout(est, data, pdf, pieces, scale, slope, plain, widths([run])[0], widths(spans), widths(cover))
+    return _Layout(est, pdf, pieces, scale, slope, plain, widths([run])[0], widths(spans), widths(cover))
 
 
 def _joined(spans) -> list:
@@ -494,13 +492,9 @@ def fit_joint(
     modes = [mode] * data.d if isinstance(mode, SupportMode) else list(mode)
     if len(modes) != data.d:
         raise ConfigError(f"expected 1 or {data.d} support modes, got {len(modes)}")
-    marginals = []
-    reports = []
-    for j in range(data.d):
-        est, rep = fit_univariate(data.coordinate(j), float(hs[j]), kernel, method, modes[j])
-        marginals.append(est)
-        reports.append(rep)
-    return JointEstimator(data, tuple(marginals), tuple(reports))
+    marginals, reports = zip(*(fit_univariate(data.coordinate(j), float(hs[j]), kernel, method, modes[j])
+                               for j in range(data.d)))
+    return JointEstimator(data, marginals, reports)
 
 
 def joint_cdf(est: JointEstimator, x) -> float | np.ndarray:

@@ -18,15 +18,17 @@ On its support the Epanechnikov kernel is a polynomial in |t|:
 so sums of K and K*K over a sorted sample reduce to window moments (see
 `bandwidth`).
 
-The Gaussian W is SciPy's `ndtr`, imported on its first call rather than
-with this module: `scipy.special` is over half of a fresh `supdens` process's
-start-up (about 0.3 of 0.5 s, and 25 MB of resident memory, on a 2-CPU
-x86_64 VM), and an Epanechnikov run, the default, never calls it.
+The Gaussian W is SciPy's `ndtr`, from `scipy.special`, which `_special`
+imports on first use: it is over half of a fresh `supdens` process's start-up
+(about 0.3 of 0.5 s, and 25 MB of resident memory, on a 2-CPU x86_64 VM), and
+an Epanechnikov run, the default, never calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from importlib import import_module
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = [
     "EPANECHNIKOV",
     "GAUSSIAN",
     "get_kernel",
+    "kernel_names",
     "eval_K",
     "eval_W",
 ]
@@ -82,10 +85,14 @@ def _gauss_K(z: np.ndarray) -> np.ndarray:
     return _exp_square(z, -0.5, _SQRT_2PI)
 
 
-def _gauss_W(z: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtr  # deferred: see the module docstring
+@cache
+def _special():
+    """`scipy.special`, imported on the first call (see the module docstring)."""
+    return import_module("scipy.special")
 
-    return ndtr(np.asarray(z, dtype=float))
+
+def _gauss_W(z: np.ndarray) -> np.ndarray:
+    return _special().ndtr(np.asarray(z, dtype=float))
 
 
 def _gauss_KK(t: np.ndarray) -> np.ndarray:
@@ -164,6 +171,11 @@ def get_kernel(name: str) -> KernelSpec:
         return _BY_NAME[name.lower()]
     except KeyError:
         raise ConfigError(f"unknown kernel: {name!r}") from None
+
+
+def kernel_names() -> list:
+    """The kernels' names, which `get_kernel` takes."""
+    return sorted({spec.name for spec in _BY_NAME.values()})
 
 
 def eval_K(spec: KernelSpec, z) -> float | np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bandwidth import lscv_bandwidth
+from .bandwidth import check_policy, select_bandwidth
 from .errors import ConfigError, DataError
 from .estimators import BOUNDARY_KERNEL, NAIVE, REFLECTION, FittedEstimator, Sample
 from .kernels import EPANECHNIKOV, KernelSpec
@@ -225,7 +225,7 @@ TABLE_METHODS: Tuple[MethodSpec, ...] = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Configuration of one Monte Carlo comparison run."""
+    """Configuration of one Monte Carlo comparison run; bandwidth is a `bandwidth.check_policy` policy."""
 
     p: float = 1.0
     q: float = 1.0
@@ -247,11 +247,7 @@ class ExperimentSpec:
         bk = [m.label for m in self.methods if m.method == BOUNDARY_KERNEL]
         if bk and not self.kernel.compact:
             raise ConfigError(f"the {self.kernel.name} kernel has no {', '.join(bk)} columns (see --methods)")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "lscv":
-                raise ConfigError(f"bandwidth policy must be 'lscv' or a number, got {self.bandwidth!r}")
-        elif not self.bandwidth > 0:  # NaN too
-            raise ConfigError("fixed bandwidth must be positive")
+        object.__setattr__(self, "bandwidth", check_policy(self.bandwidth))
 
     @property
     def distribution_label(self) -> str:
@@ -320,10 +316,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         fallbacks = np.zeros(len(spec.methods), dtype=int)
         for r in range(spec.reps):
             sample = sample_beta(spec.p, spec.q, n, (spec.seed, n, r))
-            if spec.bandwidth == "lscv":
-                h = lscv_bandwidth(sample, spec.kernel)
-            else:
-                h = float(spec.bandwidth)
+            h = select_bandwidth(sample, spec.kernel, spec.bandwidth)
             for k, ms in enumerate(spec.methods):
                 est, report = fit(sample, h, spec.kernel, ms.method, ms.mode)
                 if report is not None and (report.fallback_left or report.fallback_right):

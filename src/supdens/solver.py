@@ -58,14 +58,14 @@ bit for bit.  The set-up asks for g(0), g(1) and the data-coordinate start
 or the first k halvings of [0, 1] in one call.  k is the largest depth whose
 2^k - 1 points cost at most LOOKAHEAD_TERMS terms, a point costing the n
 terms of a boundary-kernel mean or its reflection pieces' `_reach` windows
-at delta = 0 (their widest), plus 64.  A call costs tens of microseconds
-whatever its size and a point in a small window little, so the Epanechnikov
-solves at n = 100 to 300 look 3 to 6 steps ahead.  Where a point costs about
-a window of n (the boundary kernel at n = 2000; the Gaussian, whose four
-windows hold nearly all n, from a few hundred observations) k is 1 and only
-the set-up is batched; each step then passes its one midpoint as a 0-d
-array, and the objective's arithmetic on it runs in NumPy scalars, at the
-one-point loop's cost.
+at delta = 0 (their widest), plus 64; the set-up call may cost more.  A
+call costs tens of microseconds whatever its size and a point in a small
+window little, so the Epanechnikov solves at n = 100 to 300 look 3 to 6
+steps ahead.  Where a point costs about a window of n (the boundary kernel
+at n = 2000; the Gaussian, whose four windows hold nearly all n, from a few
+hundred observations) k is 1 and only the set-up is batched; each step then
+passes its one midpoint as a 0-d array, and the objective's arithmetic on
+it runs in NumPy scalars, at the one-point loop's cost.
 """
 
 from __future__ import annotations
@@ -267,15 +267,13 @@ def _bk_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int, other:
     sz = s * (data - e) / unit  # s * z, the same bits as s * ((data - e) / unit)
     # as delta -> 0 the mean W tends to (#ties at e)/(2n): each tied extreme keeps W(0) = 1/2
     g0 = 1.0 / (n + 1.0) - np.count_nonzero(sz == 0.0) / (2.0 * n)
-    block = max(1, LOOKAHEAD_TERMS // n)
 
     def g(d: np.ndarray) -> np.ndarray:
         flat = d.ravel()
         out = np.full(flat.size, g0)
         rows = (flat != 0.0).nonzero()[0]
-        for k in range(0, rows.size, block):  # so a call holds one row of n, or at most LOOKAHEAD_TERMS
-            r = rows[k:k + block]
-            out[r] = 1.0 / (n + 1.0) - np.mean(kernel.cdf(sz / flat[r, None]), axis=1)
+        if rows.size:
+            out[rows] = 1.0 / (n + 1.0) - np.mean(kernel.cdf(sz / flat[rows, None]), axis=1)
         return out.reshape(d.shape)
 
     return g, e, unit, target, e + s * (abs(e) * 1e-12 + 1e-300), n

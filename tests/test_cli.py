@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from supdens import cli, simulate
+from supdens import bandwidth, cli
 from supdens.cli import _grid_csv, run_cli
 
 
@@ -490,7 +490,7 @@ def test_simulate_gaussian_kernel(tmp_path, capsys, monkeypatch):
 
     out = tmp_path / "table.csv"
     with monkeypatch.context() as m:
-        m.setattr(simulate, "lscv_bandwidth", unreachable)
+        m.setattr(bandwidth, "lscv_bandwidth", unreachable)
         _fails(["simulate", "--n", "10", "--reps", "1", "--kernel", "gaussian"], 1, out)
     err = capsys.readouterr().err
     assert "bk:proposed, bk:extremes" in err and "--methods" in err

@@ -316,6 +316,21 @@ def test_nonfinite_points_rejected(method, which):
             getattr(est, which)(np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+def test_pdf_and_cdf_keep_the_shape_of_x(kernel):
+    # as beta_pdf and eval_K do: the values of the flattened points, in x's
+    # shape; a scalar or 0-d x gives a float (they used to return shape (6,))
+    est = FittedEstimator(REFLECTION, Sample([0.2, 0.5, 0.7]), 0.2, SupportInterval(0.0, 1.0), kernel)
+    x = np.linspace(-0.1, 1.1, 6)
+    for f in (est.pdf, est.cdf):
+        flat = f(x)
+        for shape in ((2, 3), (3, 1, 2), (6,)):
+            got = f(x.reshape(shape))
+            assert got.shape == shape and np.array_equal(got.ravel(), flat)
+        assert f(x.reshape(2, 3).tolist()).shape == (2, 3)
+        assert type(f(0.4)) is float and type(f(np.array(0.4))) is float and f(0.4) == f(np.array([0.4]))[0]
+
+
 class TestEvaluateGrid:
     def test_empty(self):
         est = FittedEstimator(NAIVE, Sample([0.0, 1.0]), 0.5, UNBOUNDED, EPANECHNIKOV)

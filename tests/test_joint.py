@@ -18,6 +18,7 @@ from supdens import (
     fit_joint,
     joint_cdf,
     joint_pdf,
+    lscv_bandwidth,
 )
 from supdens import joint
 from supdens.estimators import BLOCK_ROWS, cdf_terms, pdf_terms
@@ -347,6 +348,31 @@ def test_tensor_grid_memory(method):
         finally:
             tracemalloc.stop()
         assert peak < 16e6, f"{grid.__name__}: tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_blas_products_stay_within_gemm_mnk(monkeypatch):
+    # OpenBLAS splits a larger product over threads, and on a 2-CPU machine its
+    # second thread made such products 10-100x slower at times (`joint.GEMM_MNK`);
+    # every 2-D product of the benchmark's grid and of a Gaussian LSCV stays below it
+    shapes = []
+
+    def matmul(a, b, *args, matmul=np.matmul, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    rng = np.random.default_rng(64)
+    ms = MultiSample(np.column_stack([rng.beta(3.0, 1.0, 2000), rng.beta(2.0, 2.0, 2000)]))
+    je = fit_joint(ms, [0.05, 0.08], EPANECHNIKOV, REFLECTION, SupportMode.known(0.0, 1.0))
+    axes = [np.linspace(-0.05, 1.05, 201)] * 2
+    je.cdf_grid(axes)
+    je.pdf_grid(axes)
+    grid_products = len(shapes)
+    lscv_bandwidth(ms.coordinate(0), GAUSSIAN)
+    assert 0 < grid_products < len(shapes)
+    for a, b in shapes:
+        (m, k), n = a[-2:], b[-1]
+        assert b[-2] == k and m * k * n <= joint.GEMM_MNK, (a, b)
 
 
 def test_scattered_joint_places_terms_as_the_grid_where_l_plus_h_rounds_to_l():

@@ -46,13 +46,19 @@ from supdens.estimators import (
     EVAL_TOL,
     _reach,
     _reflection_points,
-    _reflection_terms,
+    _reflection_sum,
     _scaled_terms,
     cdf_terms,
     pdf_terms,
 )
 from supdens.joint import _inside, _layout
 from test_joint import assert_row_means
+
+
+def _reflection_terms(kernel, pdf, x, data, h, l, u):
+    """Reflection terms for x in [l, u], evaluated on every column: naive terms at x and its mirrors."""
+    points = _reflection_points(pdf, x, l, u)
+    return _reflection_sum(pdf, lambda k: _scaled_terms(kernel, pdf, points[k], data, h))
 
 
 def oracle_terms(est, x, data, pdf):
@@ -328,8 +334,8 @@ def _check_layout(je, j, x, pdf):
     the oracle's terms must be exactly 1 in the run and 0 outside the groups,
     and the layout's terms in the spans the oracle's bit for bit.
     """
-    est, data = je.marginals[j], je.sorted[j]
-    layout = _layout(est, data, x, pdf)
+    est = je.marginals[j]
+    data, layout = est.sample.values, _layout(est, x, pdf)
     want = oracle_terms(est, x, data, pdf).ravel()
     q, r = np.repeat(np.arange(x.size), data.size), np.tile(np.arange(data.size), x.size)
     at = lambda v: v[q]  # noqa: E731
