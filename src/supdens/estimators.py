@@ -80,12 +80,12 @@ Gaussian reflection `evaluate_grid` on beta(3,1) data with h = 0.02 takes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, factorial, lgamma, log, pi, sqrt
+from math import ceil, erfc, exp, factorial, lgamma, log, pi, sqrt
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KernelSpec, _special
+from .kernels import KernelSpec
 
 __all__ = [
     "Sample",
@@ -403,25 +403,35 @@ def _piece_sums(kernel: KernelSpec, data: np.ndarray, p: np.ndarray, scale, slop
     are exactly 1; the sums are those of its `_scaled_terms` over its window,
     None where not asked for.  The windows are laid end to end in one ragged
     array of about WINDOW_CHUNK entries at a time (or one window) and summed
-    per piece by reduceat.
+    per piece by reduceat.  A window's cdf terms at z >= the kernel's
+    `cdf_one` are exactly 1 as well: they are written, not evaluated.
     """
     a, b = _reach(data, p, scale, kernel.saturation)
+    # a cdf without the pdf evaluates the terms from column `first` on, those at z < cdf_one
+    skipping = cdf and not pdf and kernel.cdf_one < kernel.saturation
+    first = _reach(data, p, scale, kernel.cdf_one)[0] if skipping else a
     sizes = b - a
-    sums = [np.zeros(p.size) if want else None for want in (pdf, cdf)]
+    pdf_sums, cdf_sums = (np.zeros(p.size) if want else None for want in (pdf, cdf))
     filled = sizes.nonzero()[0]
     for i, j in _chunks(sizes[filled], WINDOW_CHUNK):
         k = filled[i:j]
         size = sizes[k]
+        count = b[k] - first[k] if skipping else size
         starts = size.cumsum() - size
 
         def spread(v):
-            return v[k].repeat(size) if isinstance(v, np.ndarray) else v
+            return v[k].repeat(count) if isinstance(v, np.ndarray) else v
 
-        args = spread(p), data[_ranges(a[k], size)], spread(scale), spread(slope)
-        for out, want_pdf in zip(sums, (True, False)):
-            if out is not None:
-                out[k] = np.add.reduceat(_scaled_terms(kernel, want_pdf, *args), starts)
-    return a, sums[0], sums[1]
+        args = spread(p), data[_ranges(first[k], count)], spread(scale), spread(slope)
+        if pdf:
+            pdf_sums[k] = np.add.reduceat(_scaled_terms(kernel, True, *args), starts)
+        if cdf:
+            terms = _scaled_terms(kernel, False, *args)
+            if skipping:
+                terms, evaluated = np.ones(starts[-1] + size[-1]), terms
+                terms[_ranges(starts + size - count, count)] = evaluated
+            cdf_sums[k] = np.add.reduceat(terms, starts)
+    return a, pdf_sums, cdf_sums
 
 
 def _fill_block(
@@ -544,8 +554,8 @@ _WIDEST = np.array([0.0] + [sqrt(0.5) * exp((log(EXPANSION_TOL / 1.09) + lgamma(
 
 #: Gaussian cdf values, and pdf values times h, are within EVAL_TOL of their exact
 #: values: each of at most four sums per point holds terms within EXPANSION_TOL +
-#: 1.1 eps (5.0e-15 in all), and the rest covers the rounding of the sums (measured
-#: below 1e-15 against full-width means).
+#: 2.6 eps (the coordinates' rounding and libm's erfc; 6.3e-15 in all), and the rest
+#: covers the rounding of the sums (measured below 1e-15 against full-width means).
 EVAL_TOL = 1e-14
 
 #: Float64 entries per working array of the chunked computations: the transform's
@@ -586,6 +596,11 @@ def _hermite(D: np.ndarray, count: int) -> np.ndarray:
     for m in range(count - 1):
         herm[m + 1] = 2.0 * (D * herm[m] - m * herm[m - 1])  # herm[-1] is 0 at m = 0
     return herm
+
+
+def _gauss_E(D: np.ndarray) -> np.ndarray:
+    """E(D) = erfc(-D)/2 at the few offsets D of `_gauss_sums`, each by libm's erfc (`math.erfc`)."""
+    return 0.5 * np.array([erfc(-d) for d in D])
 
 
 def _box_width(h):
@@ -656,6 +671,10 @@ def _gauss_sums(data: np.ndarray, h: float, t: np.ndarray) -> tuple:
     EXPANSION_TOL of its value at the rounded coordinates.  Those are exact
     but for sigma, u and D = d w, each rounded once or twice:
     |dv| <= 2 eps (|v| + w), which moves a phi or Phi term by at most 1.1 eps.
+    E(D) itself is libm's erfc (`math.erfc`), one value at each of the 2R + 1
+    offsets D: within 3 ulp of erfc(-D) < 2 against `mpmath` on [-6, 6], so
+    within 1.5 eps of E(D), which adds at most 1.5 eps to a Phi term; the
+    derivatives are exp and the Hermite recurrence.
     Box indices are exact integers (`_boxes_exact`); targets beyond 2^62
     boxes are clipped there, which keeps them out of every source box's reach.
 
@@ -663,7 +682,6 @@ def _gauss_sums(data: np.ndarray, h: float, t: np.ndarray) -> tuple:
     elementwise in every array, so a target's sums do not depend on the other
     targets; the working arrays hold about CHUNK entries at a time.
     """
-    erfc = _special().erfc
     s, sigma = _box_width(h), sqrt(2.0) * h
     w = s / sigma
     p, reach = int(np.searchsorted(_WIDEST, w)), ceil(sqrt(-log(EXPANSION_TOL)) / w)
@@ -676,7 +694,7 @@ def _gauss_sums(data: np.ndarray, h: float, t: np.ndarray) -> tuple:
     lo, hi = keys.searchsorted(boxes - reach, "left"), keys.searchsorted(boxes + reach, "right")
     # deriv[m, d + R] = E^(m)(d w), m <= p
     D = np.arange(-reach, reach + 1) * w
-    deriv = np.concatenate([0.5 * erfc(-D)[None], _hermite(D, p) * ((-1.0) ** np.arange(p) / sqrt(pi))[:, None]])
+    deriv = np.concatenate([_gauss_E(D)[None], _hermite(D, p) * ((-1.0) ** np.arange(p) / sqrt(pi))[:, None]])
     # each target box's source boxes lo..hi-1 in increasing order, chunked by pairs
     pairs = hi - lo
     coef = np.zeros((p + 1, boxes.size))

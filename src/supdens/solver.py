@@ -57,15 +57,15 @@ iteration counts, brackets and NumericError texts are the one-point loop's,
 bit for bit.  The set-up asks for g(0), g(1) and the data-coordinate start
 or the first k halvings of [0, 1] in one call.  k is the largest depth whose
 2^k - 1 points cost at most LOOKAHEAD_TERMS terms, a point costing the n
-terms of a boundary-kernel mean or its reflection pieces' `_reach` windows
-at delta = 0 (their widest), plus 64; the set-up call may cost more.  A
-call costs tens of microseconds whatever its size and a point in a small
-window little, so the Epanechnikov solves at n = 100 to 300 look 3 to 6
-steps ahead.  Where a point costs about a window of n (the boundary kernel
-at n = 2000; the Gaussian, whose four windows hold nearly all n, from a few
-hundred observations) k is 1 and only the set-up is batched; each step then
-passes its one midpoint as a 0-d array, and the objective's arithmetic on
-it runs in NumPy scalars, at the one-point loop's cost.
+terms of a boundary-kernel mean or the terms its moving reflection pieces
+evaluate in their `_reach` windows at delta = 0 (their widest), plus 64;
+the set-up call may cost more.  A call costs tens of microseconds whatever
+its size and a point in a small window little, so the Epanechnikov solves
+at n = 100 to 2000 look 4 to 6 steps ahead.  Where a point costs about a
+window of n (the boundary kernel at n = 2000) k is 1 and only the set-up is
+batched; each step then passes its one midpoint as a 0-d array, and the
+objective's arithmetic on it runs in NumPy scalars, at the one-point loop's
+cost.
 """
 
 from __future__ import annotations
@@ -285,8 +285,12 @@ def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int
     Fhat(e) is the reflection cdf as `estimators._window_estimates` forms it at
     the one point z = 0, which lies in [l, u]: its four pieces' exact counts
     and window sums, combined in `_reflection_sum`'s order, over n (unclipped).
-    A point costs its pieces' `_reach` windows, counted at delta = 0, where
-    they are widest.
+    Two of the pieces do not move with delta: they are summed once, in the
+    first call, and a point costs the terms the two moving pieces evaluate in
+    their `_reach` windows (not those at z >= the kernel's `cdf_one`),
+    counted at delta = 0, where the windows are widest.  Each piece's sums
+    are its own (`_piece_sums`), so g is bit for bit the four pieces' sums
+    per point.
     """
     e, target = _extreme_and_target(data, s)
     z = (data - e) / h
@@ -297,19 +301,33 @@ def _reflection_objective(data: np.ndarray, kernel: KernelSpec, h: float, s: int
     # fl(2o + d), and -0.0 + (-2d) keeps the sign of 2 * (-0.0) - 0.0 at d = 0
     base, slope = ([0.0, 2.0 * o, -o, 0.0], [0.0, 0.0, 2.0, 2.0]) if s > 0 else \
         ([0.0, -0.0, 2.0 * o, 2.0 * o], [0.0, -2.0, 1.0, 0.0])
-    base, slope = np.array(base)[:, None], np.array(slope)[:, None]
+    still = [k for k in range(4) if slope[k] == 0.0]
+    moving = [k for k in range(4) if slope[k] != 0.0]
+    base, slope = np.array(base), np.array(slope)
+    still_base, base, slope = base[still], base[moving, None], slope[moving, None]
+    rows = {}  # piece k's counts and window sums; the still pieces' from the first call on
 
     def pieces(d: np.ndarray) -> np.ndarray:
         return (base + slope * d).ravel()
 
     def g(d: np.ndarray) -> np.ndarray:
-        counts, _, sums = _piece_sums(kernel, z, pieces(d), 1.0, 0.0, False, True)
-        counts, sums = counts.reshape((4,) + d.shape), sums.reshape((4,) + d.shape)
-        cdf = (_reflection_sum(False, counts.__getitem__) + _reflection_sum(False, sums.__getitem__)) / z.size
-        return s * (cdf - target)
+        p = pieces(d)
+        first = not rows
+        if first:  # the first call also sums the still pieces, after the moving ones
+            p = np.concatenate([p, still_base])
+        c, _, w = _piece_sums(kernel, z, p, 1.0, 0.0, False, True)
+        if first:
+            rows.update(zip(still, zip(c[-2:], w[-2:])))
+        m = d.size
+        rows[moving[0]] = c[:m].reshape(d.shape), w[:m].reshape(d.shape)
+        rows[moving[1]] = c[m : 2 * m].reshape(d.shape), w[m : 2 * m].reshape(d.shape)
+        cdf = _reflection_sum(False, lambda k: rows[k][0]) + _reflection_sum(False, lambda k: rows[k][1])
+        return s * (cdf / z.size - target)
 
-    a, b = _reach(z, pieces(np.zeros(1)), 1.0, kernel.saturation)
-    return g, e, h, target, None, int((b - a).sum())
+    widest = pieces(np.zeros(1))
+    a, b = _reach(z, widest, 1.0, kernel.saturation)
+    first = _reach(z, widest, 1.0, kernel.cdf_one)[0] if kernel.cdf_one < kernel.saturation else a
+    return g, e, h, target, None, int((b - first).sum())
 
 
 @np.errstate(over="ignore")  # s*z/delta overflows to -inf at tiny delta, where W is 0 as it should be

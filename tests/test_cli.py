@@ -284,12 +284,12 @@ def test_one_parser_serves_every_call(data_file, tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_epanechnikov_commands_never_load_scipy(data_file, data2d_file, tmp_path):
-    # SciPy is imported by the first Gaussian evaluation: every command run
-    # with the Epanechnikov kernel leaves it unloaded, and a Gaussian fit
-    # after them in the same process writes what a fresh process writes
+def test_no_command_loads_scipy(data_file, data2d_file, tmp_path):
+    # the package needs NumPy alone: no command, with either kernel, imports
+    # SciPy, and a Gaussian fit run after all of them in the same process
+    # writes what a fresh process writes
     gauss, fresh = str(tmp_path / "gauss.json"), str(tmp_path / "fresh.json")
-    epanechnikov = [argv + ["--output", str(tmp_path / f"out{k}")] for k, argv in enumerate([
+    commands = [argv + ["--output", str(tmp_path / f"out{k}")] for k, argv in enumerate([
         ["fit", "--kernel", "epanechnikov", "--method", "boundary-kernel", "--mode", "proposed", "--input", data_file],
         ["fit", "--kernel", "epanechnikov", "--method", "reflection", "--mode", "proposed", "--input", data_file],
         ["eval", "--model", str(tmp_path / "out1"), "--grid", "0:1:11"],
@@ -297,17 +297,23 @@ def test_epanechnikov_commands_never_load_scipy(data_file, data2d_file, tmp_path
         ["joint", "--kernel", "epanechnikov", "--method", "boundary-kernel", "--mode", "proposed",
          "--input", data2d_file, "--bandwidth", "0.15", "--grid", "0:1:4"],
         ["simulate", "--kernel", "epanechnikov", "--n", "20", "--reps", "2", "--seed", "1"],
+        ["fit", "--kernel", "gaussian", "--method", "naive", "--input", data_file],
+        ["eval", "--model", str(tmp_path / "out6"), "--grid", "0:1:11"],
+        ["solve", "--kernel", "gaussian", "--method", "reflection", "--mode", "proposed", "--input", data_file],
+        ["joint", "--kernel", "gaussian", "--method", "reflection", "--mode", "proposed",
+         "--input", data2d_file, "--bandwidth", "0.15", "--grid", "0:1:4"],
+        ["simulate", "--kernel", "gaussian", "--n", "20", "--reps", "2", "--seed", "1",
+         "--methods", "naive,refl:proposed,refl:extremes"],
     ])]
     gaussian_fit = ["fit", "--kernel", "gaussian", "--method", "reflection", "--mode", "proposed", "--input", data_file]
     script = "\n".join([
         "import sys",
         "from supdens.cli import run_cli",
-        f"codes = [run_cli(argv) for argv in {epanechnikov!r}]",
+        f"codes = [run_cli(argv) for argv in {commands + [gaussian_fit + ['--output', gauss]]!r}]",
         "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
-        f"sys.exit(run_cli({gaussian_fit + ['--output', gauss]!r}))",
     ])
     proc = _fresh_python(["-c", script], 300)
-    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 0, 0, 0] []\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, f"{[0] * (len(commands) + 1)} []\n"), proc.stderr
     assert _module_cli(gaussian_fit + ["--output", fresh], 120).returncode == 0
     with open(gauss, "rb") as a, open(fresh, "rb") as b:
         assert a.read() == b.read()

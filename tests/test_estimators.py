@@ -377,3 +377,16 @@ def test_subnormal_scale_row_evaluates_without_warning():
         pdf, cdf = est.pdf(x), est.cdf(x)
     assert pdf.tolist() == [0.0, 0.0, 0.7777777777777779] == [est.pdf(v) for v in x]
     assert cdf.tolist() == [0.0, 0.0, 0.3333333333333333] == [est.cdf(v) for v in x]
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+def test_cdf_sums_skipping_the_terms_that_are_one_are_the_full_windows(kernel):
+    # a cdf without the pdf writes the terms at z >= cdf_one as 1 rather than
+    # evaluate them; its window sums are the ones formed with every term evaluated
+    rng = np.random.default_rng(17)
+    data = np.sort(rng.beta(3.0, 1.0, 3000))
+    p = np.concatenate([rng.uniform(-0.5, 1.5, 200), data[::97], [data[0], data[-1]]])
+    for scale in (0.002, 0.03, 0.4, rng.uniform(0.001, 0.5, p.size)):
+        a, _, skipped = estimators._piece_sums(kernel, data, p, scale, 0.0, False, True)
+        full_a, _, full = estimators._piece_sums(kernel, data, p, scale, 0.0, True, True)
+        assert np.array_equal(a, full_a) and np.array_equal(skipped, full)

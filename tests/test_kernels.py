@@ -1,7 +1,11 @@
+import warnings
+from math import ceil, log, sqrt
+
+import mpmath
 import numpy as np
 import pytest
 
-from supdens import EPANECHNIKOV, GAUSSIAN, DataError, eval_K, eval_W, get_kernel
+from supdens import EPANECHNIKOV, GAUSSIAN, DataError, estimators, eval_K, eval_W, get_kernel
 from supdens.errors import ConfigError
 from supdens.quadrature import composite_simpson
 
@@ -136,3 +140,58 @@ def test_epanechnikov_polynomial_reproduces_kernel_and_convolution():
     assert np.max(np.abs(np.polynomial.polynomial.polyval(t, k_coeffs) - EPANECHNIKOV.pdf(t))) <= 1e-15
     t = np.linspace(0.0, 2.0, 4001)
     assert np.max(np.abs(np.polynomial.polynomial.polyval(t, kk_coeffs) - EPANECHNIKOV.convolution(t))) <= 1e-15
+
+
+#: The ends of Cody's ranges in |z| (`kernels._gauss_W`), each with its float neighbours.
+_CODY_EDGES = [v for e in (0.67448975, sqrt(32.0), 37.5193) for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+
+
+def _mp_values(f, z) -> np.ndarray:
+    """f at each z in 50-digit arithmetic, rounded to float64."""
+    with mpmath.workdps(50):
+        return np.array([float(f(mpmath.mpf(float(v)))) for v in z])
+
+
+def test_gaussian_w_matches_mpmath():
+    # relative error within 2e-15 wherever Phi is a normal number (>= 2.3e-308),
+    # absolute error within 2.3e-308 below, on a dense grid and at the ends of
+    # the approximation's ranges
+    z = np.concatenate([np.linspace(-39.0, 9.0, 12001), _CODY_EDGES, np.negative(_CODY_EDGES)])
+    w, exact = GAUSSIAN.cdf(z), _mp_values(mpmath.ncdf, z)
+    err, normal = np.abs(w - exact), exact >= 2.3e-308
+    assert np.all(err[normal] <= 2e-15 * exact[normal])
+    assert np.all(err[~normal] <= 2.3e-308)
+
+
+def test_gaussian_w_is_monotone_symmetric_and_half_at_zero():
+    z = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 400001), _CODY_EDGES, np.negative(_CODY_EDGES)]))
+    assert np.all(np.diff(GAUSSIAN.cdf(z)) >= 0.0)
+    assert GAUSSIAN.cdf(0.0) == 0.5 and GAUSSIAN.cdf(-0.0) == 0.5
+    z = np.concatenate([np.linspace(0.0, 8.0, 80001), _CODY_EDGES[:6]])
+    assert np.all(np.abs(GAUSSIAN.cdf(z) + GAUSSIAN.cdf(-z) - 1.0) <= np.spacing(1.0))
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+def test_w_is_exactly_one_from_cdf_one(kernel):
+    assert kernel.cdf_one <= kernel.saturation
+    z = np.concatenate([[kernel.cdf_one], np.linspace(kernel.cdf_one, kernel.saturation + 1.0, 100001), [np.inf]])
+    assert np.all(kernel.cdf(z) == 1.0)
+
+
+def test_gaussian_w_at_infinity_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GAUSSIAN.cdf(np.inf) == 1.0 and GAUSSIAN.cdf(-np.inf) == 0.0
+        assert GAUSSIAN.cdf(np.array([-np.inf, -1e308, 1e308, np.inf])).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.0054, 0.02, 0.1, 0.7, 3.0])
+def test_gauss_sums_erfc_values_on_their_grid(h):
+    # the transform's E(D) = erfc(-D)/2 is libm's erfc, within the 3 ulp of
+    # erfc(-D) that `_gauss_sums` budgets, at every offset D = d w, |d| <= R,
+    # that it forms at bandwidth h
+    w = estimators._box_width(h) / (sqrt(2.0) * h)
+    reach = ceil(sqrt(-log(estimators.EXPANSION_TOL)) / w)
+    D = np.arange(-reach, reach + 1) * w
+    exact = _mp_values(lambda d: mpmath.erfc(-d), D)
+    assert np.all(np.abs(2.0 * estimators._gauss_E(D) - exact) <= 3.0 * np.spacing(exact))

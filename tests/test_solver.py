@@ -562,13 +562,14 @@ def test_lookahead_walk_exits(depth, monkeypatch):
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
 @pytest.mark.parametrize("s", [1, -1])
 def test_reflection_objective_is_the_window_cdf_at_the_extreme(kernel, s):
-    # g(delta) = s * (Fhat(e) - target), Fhat(e) as the estimator evaluates it, bit for bit, many points a call
+    # g(delta) = s * (Fhat(e) - target), Fhat(e) as the estimator evaluates it, bit for bit, many points a
+    # call, in the first call (which also sums the pieces that do not move with delta) and in later ones
     data = np.sort(np.random.default_rng(8).beta(3.0, 1.0, 200))
     h, other = 0.07, data[0] - 0.02 if s > 0 else data[-1] + 0.03
     g, e, _, target, _, _ = solver._reflection_objective(data, kernel, h, s, other)
     z, o = (data - e) / h, (other - e) / h
     d = np.concatenate([[0.0, 1.0], 0.5 ** np.arange(1, 60), np.random.default_rng(9).uniform(0.0, 1.0, 40)])
-    for di, gi in zip(d, g(d)):
+    for di, gi in zip(np.append(d, d[5]), np.concatenate([g(d[:2]), g(d[2:]), g(np.array(d[5]))[None]])):
         l, u = (o, di) if s > 0 else (-di, o)
         (cdf,) = _window_estimates(kernel, REFLECTION, z, 1.0, l, u, np.zeros(1), pdf=False)
         assert gi == s * (cdf[0] - target)
