@@ -14,32 +14,33 @@ No n x n matrix is built; the kernel decides how the pair sums are formed
 (times on beta(3,1) samples, 40 candidates, a 2-CPU x86_64 VM):
 
 - one that is a polynomial on its support (Epanechnikov) sums exact window
-  moments over the sorted sample: O(n) per candidate, 0.012-0.017 s at
-  n = 10^3, 0.12-0.15 s at 10^4 and 1.4-1.7 s at 10^5;
+  moments over the sorted sample: O(n) per candidate, 0.016 s at n = 2000,
+  0.07 s at 10^4 and 0.9 s at 10^5;
 - the Gaussian sums exp(-(d/sigma)^2) over all pairs, sigma = sqrt(2) h for K
   and 2 h for K*K, by a fast Gauss transform (Greengard & Strain 1991; Raykar
-  & Duraiswami 2006 select bandwidths with it), each pair's term within 1e-15:
-  0.01 s at n = 100, 0.07 s at 10^4 and 0.5 s at 10^5.  Its box moments,
-  Hermite recurrence and term counts are those of the Gaussian evaluation's
-  transform (`estimators._gauss_sums`);
+  & Duraiswami 2006 select bandwidths with it), each pair's term within 1e-15,
+  from box-pair sums formed once per power-of-2 box width: 0.003 s at n = 100,
+  0.006 s at 2000 and 0.03 s at 10^5.  Its box moments, Hermite recurrence
+  and term counts are those of the Gaussian evaluation's transform
+  (`estimators._gauss_sums`);
 - any other kernel is a ConfigError.
 
-A chunk of candidates holds about WINDOW_CHUNK entries, n per candidate, in
-the window path, whose three dozen working arrays of that length then stay
-near the L2 cache; and about CHUNK entries, n plus TERMS moments per box per
-candidate, in the Gaussian's.
+Each call allocates its working arrays once: the window path's for chunks of
+about WINDOW_CHUNK (candidate, observation) entries, which stay near the L2
+cache, and the Gaussian's for about CHUNK gathered moments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log, sqrt
+from math import ceil, comb, log, prod, sqrt
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DataError
-from .estimators import _WIDEST, CHUNK, EXPANSION_TOL, WINDOW_CHUNK, Sample, _box_moments, _box_width, _chunks, _hermite
+from .estimators import (
+    _WIDEST, CHUNK, EXPANSION_TOL, GEMM_MNK, WINDOW_CHUNK, Sample, _box_moments, _box_width, _chunks, _hermite,
+)
 from .kernels import KernelSpec
 
 __all__ = ["BandwidthGrid", "check_policy", "lscv_bandwidth", "lscv_objective", "select_bandwidth"]
@@ -85,9 +86,12 @@ class BandwidthGrid:
 
 
 #: Gaussian pair sums (`_gauss_pair_totals`): boxes at most BOX sigma wide, whose
-#: moments need TERMS terms, and GEMM_ROWS boxes per product, which start no BLAS threads.
-BOX, GEMM_ROWS = 1.0, 8
+#: moments need TERMS terms and whose pairs lie at most OFFSETS - 1 boxes apart
+#: (w = s/sigma > BOX/2); PAIRS box pairs per product keep it within GEMM_MNK.
+BOX = 1.0
 TERMS = int(np.searchsorted(_WIDEST, BOX))
+OFFSETS = ceil(2.0 * sqrt(-log(EXPANSION_TOL)) / BOX) + 1
+PAIRS = GEMM_MNK // (TERMS * TERMS)
 
 
 def _horner_steps(coeffs: tuple) -> list:
@@ -100,133 +104,149 @@ def _horner_steps(coeffs: tuple) -> list:
 
 
 def _window_pair_sums(y: np.ndarray, kernel: KernelSpec, hs: np.ndarray) -> np.ndarray:
-    """Pair sums of K and K*K for a kernel that is a polynomial on its support.
+    """Pair sums of K and K*K at each bandwidth of hs, for a kernel that is a polynomial on its support.
 
-    y is sorted and hs is a chunk of bandwidths.  In units t = y/h the
-    blocks [b, b + 1) have centres b + 1/2, and u_i = t_i - (b_i + 1/2) lies in
-    [-1/2, 1/2).  The pairs j > i within reach R of i fall in at most ceil(R) + 1
-    consecutive nonempty blocks.  On the segment in block b_i + delta,
-    t_j - t_i = a + u_j with a = delta - u_i, so sum_k c_k (t_j - t_i)^k is
-    sum_p a^p sum_m c_(m+p) C(m+p, m) M_m over the moments M_m = sum u_j^m of
-    the segment, which prefix sums give in O(1).  Every term is O(1) in t.
+    y is sorted.  In units t = y/h the blocks [b, b + 1) have centres b + 1/2,
+    and u_i = t_i - (b_i + 1/2) lies in [-1/2, 1/2).  The pairs j > i within
+    reach R of i fall in at most ceil(R) + 1 consecutive nonempty blocks.  On
+    the segment in block b_i + delta, t_j - t_i = a + u_j with a = delta - u_i,
+    so sum_k c_k (t_j - t_i)^k is sum_p a^p sum_m c_(m+p) C(m+p, m) M_m over
+    the moments M_m = sum u_j^m of the segment, which prefix sums give in
+    O(1).  Every term is O(1) in t.
 
     K and K*K walk the same segment starts, so they share each start's a and
-    prefix sums; only the ends differ.  The arithmetic of each (candidate, i)
-    entry is its own, so a candidate's sums are the same bits whatever shares
-    its chunk.
+    prefix sums; only the ends differ.  The candidates run in chunks of about
+    WINDOW_CHUNK (candidate, i) entries, in working arrays allocated once for
+    the largest chunk.  The arithmetic of each entry is its own, so a
+    candidate's sums are the same bits whatever shares its chunk.
     """
-    c, n = hs.size, y.size
-    t = y / hs[:, None]
-    b = np.floor(t)
-    u = t - b - 0.5
-    degree = max(len(p) for p in kernel.polynomial) - 1
-    # prefix[m, k, j] = sum of u[k, :j] ** m, one row of n + 1 per candidate;
-    # the powers are formed in place and summed there
-    prefix = np.empty((degree + 1, c, n + 1))
-    prefix[:, :, 0] = 0.0
-    prefix[0, :, 1:] = np.arange(1, n + 1)
-    powers = prefix[1:, :, 1:]
-    powers[0] = u
-    for m in range(1, degree):
-        np.multiply(powers[m - 1], u, out=powers[m])
-    np.cumsum(powers, axis=2, out=powers)
-    offset = np.arange(c)[:, None] * (n + 1)
-    # end[k, i]: one past the last element of i's block (the padded column n maps to n), as a flat index
-    starts = np.where(b[:, 1:] != b[:, :-1], np.arange(1, n), n)
-    end = np.concatenate([np.minimum.accumulate(starts[:, ::-1], axis=1)[:, ::-1], np.full((c, 2), n)], axis=1) + offset
-    bp = np.concatenate([b, b[:, -1:]], axis=1)
-    # segment starts, ends and prefix sums are gathered along one axis by 1-D flat indices
-    lo = (np.arange(1, n + 1) + offset).ravel()
-    prefix, end, bp, b, u = prefix.reshape(degree + 1, -1), end.ravel(), bp.ravel(), b.ravel(), u.ravel()
-    polys = []  # per polynomial: coefficient count, Horner steps, w, segments, total
-    for coeffs, reach in zip(kernel.polynomial, (1.0, 2.0)):
-        reach *= kernel.support_radius
+    n, degree = y.size, max(len(p) for p in kernel.polynomial) - 1
+    polys = [(len(coeffs), _horner_steps(coeffs), reach * kernel.support_radius)
+             for coeffs, reach in zip(kernel.polynomial, (1.0, 2.0))]
+    segments = [int(np.ceil(reach)) + 1 for *_, reach in polys]
+    chunks = list(_chunks(np.full(hs.size, n), WINDOW_CHUNK))
+    size = max(j - i for i, j in chunks) * n
+    # the working arrays; a chunk of c candidates uses the first c n (or c (n + 1)) entries of each
+    prefix, bp, totals = np.empty((degree + 1) * (size + size // n)), np.empty(size + size // n), np.empty((2, size))
+    moments, gathered = np.empty((2, (degree + 1) * size))
+    b, u, a, seg, term, tmp = np.empty((6, size))
+    lo, block_end, hi, end = np.empty((4, size + size // n), dtype=np.intp)
+    view, cols, out = lambda buf, *shape: buf[: prod(shape)].reshape(shape), np.arange(n + 1), np.empty((2, hs.size))
+    for i, j in chunks:
+        c, h, offset = j - i, hs[i:j, None], np.arange(j - i)[:, None] * (n + 1)
+        bc, uc, t = view(b, c, n), view(u, c, n), view(a, c, n)
+        np.subtract(t, np.floor(np.divide(y, h, out=t), out=bc), out=uc)
+        uc -= 0.5
+        # prefix[m, k, j] = sum of u[k, :j] ** m, one row of n + 1 per candidate, formed and summed in place
+        pre = view(prefix, degree + 1, c, n + 1)
+        pre[:, :, 0], pre[0, :, 1:] = 0.0, cols[1:]
+        powers = pre[1:, :, 1:]
+        powers[0] = uc
+        for m in range(1, degree):
+            np.multiply(powers[m - 1], uc, out=powers[m])
+        np.cumsum(powers, axis=2, out=powers)
+        # end[k, i]: one past the last element of i's block (the padded column n maps to n), as a flat index
+        starts, ends, bpc = view(hi, c, n - 1), view(end, c, n + 1), view(bp, c, n + 1)
+        np.copyto(starts, n)
+        np.copyto(starts, cols[1:n], where=bc[:, 1:] != bc[:, :-1])
+        np.minimum.accumulate(starts[:, ::-1], axis=1, out=ends[:, n - 2::-1])
+        ends[:, n - 1:] = n
+        ends += offset
+        bpc[:, :n], bpc[:, n] = bc, bc[:, -1]
+        # segment starts, ends and prefix sums are gathered along one axis by 1-D flat indices
+        at, nxt = view(lo, c * n), view(block_end, c * n)
+        np.add(cols[1:], offset, out=at.reshape(c, n))
+        flat, ends, bpc, ac = pre.reshape(degree + 1, -1), ends.ravel(), bpc.ravel(), t.ravel()
+        sg, tm, tp, hk, total = seg[: c * n], term[: c * n], tmp[: c * n], hi[: c * n], totals[:, : c * n]
+        mom, gath = view(moments, degree + 1, c * n), view(gathered, degree + 1, c * n)
         # w[k, i]: one past the last j with y_j <= y_i + reach * h_k, as a flat index
-        w = (np.searchsorted(y, y + reach * hs[:, None], side="right") + offset).ravel()
-        polys.append((len(coeffs), _horner_steps(coeffs), w, int(np.ceil(reach)) + 1, np.zeros(c * n)))
-    # working arrays, allocated once; take writes into them unbuffered in mode
-    # "clip", which clips nothing, as every index is in range
-    seg, term, tmp = np.empty((3, c * n))
-    moments, gathered = np.empty((2, degree + 1, c * n))
-    for k in range(max(segments for _, _, _, segments, _ in polys)):
-        rows = max(ncoef for ncoef, _, _, segments, _ in polys if k < segments)
-        at_lo = np.take(prefix[:rows], lo, axis=1, out=gathered[:rows], mode="clip")
-        block_end, block = np.take(end, lo), np.take(bp, lo)
-        a = block - b - u
-        for ncoef, steps, w, segments, total in polys:
-            if k >= segments:
-                continue
-            hi = np.maximum(np.minimum(block_end, w), lo)
-            np.take(prefix[:ncoef], hi, axis=1, out=moments[:ncoef], mode="clip")
-            np.subtract(moments[:ncoef], at_lo[:ncoef], out=moments[:ncoef])
-            # Horner in a over the shifted coefficients sum_m c_(m+q) C(m+q, m) M_m,
-            # each sum over m from the left
-            for q, scaled in enumerate(steps):
-                acc = term if q else seg
-                for j, (s, m) in enumerate(scaled):
-                    if j:
-                        acc += np.multiply(moments[m], s, out=tmp)
-                    else:
-                        np.multiply(moments[m], s, out=acc)
-                if q:
-                    seg *= a
-                    seg += term
-            total += seg
-        lo = block_end
-    return np.array([total.reshape(c, n).sum(axis=1) for *_, total in polys])
+        ws = [(y.searchsorted(np.add(y, reach * h, out=tp.reshape(c, n)), side="right") + offset).ravel()
+              for *_, reach in polys]
+        total[:] = 0.0
+        # take writes unbuffered into its out= in mode "clip", which clips nothing: every index is in range
+        for k in range(max(segments)):
+            rows = max(ncoef for (ncoef, *_), count in zip(polys, segments) if k < count)
+            at_lo = np.take(flat[:rows], at, axis=1, out=gath[:rows], mode="clip")
+            np.take(ends, at, out=nxt, mode="clip")
+            np.subtract(np.take(bpc, at, out=ac, mode="clip"), bc.ravel(), out=ac)
+            ac -= uc.ravel()
+            for (ncoef, steps, _), count, w, tot in zip(polys, segments, ws, total):
+                if k >= count:
+                    continue
+                np.maximum(np.minimum(nxt, w, out=hk), at, out=hk)
+                np.take(flat[:ncoef], hk, axis=1, out=mom[:ncoef], mode="clip")
+                np.subtract(mom[:ncoef], at_lo[:ncoef], out=mom[:ncoef])
+                # Horner in a over the shifted coefficients sum_m c_(m+q) C(m+q, m) M_m, each summed from the left
+                for q, ((s0, m0), *scaled) in enumerate(steps):
+                    acc = np.multiply(mom[m0], s0, out=tm if q else sg)
+                    for s, m in scaled:
+                        acc += np.multiply(mom[m], s, out=tp)
+                    if q:
+                        sg *= ac
+                        sg += tm
+                tot += sg
+            at, nxt = nxt, at
+        out[:, i:j] = [tot.reshape(c, n).sum(axis=1) for tot in total]
+    return out
+
+
+def _offset_sums(y: np.ndarray, s: float, reach: int) -> np.ndarray:
+    """A[e, q] = sum over the box pairs e apart of sum_(a+c=q) (-1)^c M~_a M~'_c, for e <= reach and q < TERMS.
+
+    The boxes [k s, (k + 1) s) of the sorted y have moments M~_a in units of s (`_box_moments`), M~ the
+    lower box's and M~' the upper's; at e = 0 each box pairs with itself, and rows above reach are 0.
+    Each offset's pairs are summed PAIRS at a time, one BLAS product each, added in order: the sums do
+    not depend on how many of them a gather of about CHUNK / TERMS pairs holds.
+    """
+    box, moments = _box_moments(y, s, s, TERMS)
+    signed = moments * (-1.0) ** np.arange(TERMS)
+    products, step = np.zeros((OFFSETS, TERMS, TERMS)), max(1, CHUNK // (TERMS * PAIRS)) * PAIRS
+    for e in range(reach + 1):
+        hi = np.minimum(box.searchsorted(box + e), box.size - 1)
+        lo = np.flatnonzero(box[hi] - box == e)
+        for g in range(0, lo.size, step):
+            m_lo, m_hi = moments[lo[g : g + step]], signed[hi[lo[g : g + step]]]
+            for k in range(0, m_lo.shape[0], PAIRS):
+                products[e] += np.matmul(m_lo[k : k + PAIRS].T, m_hi[k : k + PAIRS])
+    # the anti-diagonals q = a + c < TERMS, each summed from a = 0
+    order = np.argsort(np.add.outer(np.arange(TERMS), np.arange(TERMS)), axis=None, kind="stable")
+    return np.add.reduceat(products.reshape(OFFSETS, -1)[:, order[: TERMS * (TERMS + 1) // 2]],
+                           np.cumsum(np.arange(TERMS)), axis=1)
 
 
 def _gauss_pair_totals(y: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """T = sum over all i, j of exp(-((y_i - y_j)/sigma)^2) at each sigma of a chunk, y sorted.
+    """T = sum over all i, j of exp(-((y_i - y_j)/sigma)^2) at each sigma, y sorted.
 
     Boxes are s wide, the largest power of 2 at most BOX sigma: their edges k s
     are exact, w = s/sigma is in (BOX/2, BOX] and u = (y - (k + 1/2) s)/sigma in
-    [-w/2, w/2).  For i in a box and j in the box d above, (y_j - y_i)/sigma =
-    D + e, D = d w, |e| < w, and exp(-(D + e)^2) = sum_m g_m(D) e^m with
+    [-w/2, w/2).  For i in a box and j in the box e above, (y_j - y_i)/sigma =
+    D + d, D = e w, |d| < w, and exp(-(D + d)^2) = sum_m g_m(D) d^m with
     g_m = (d/dD)^m exp(-D^2) / m!; so a box pair sums to sum_(a+c<p) (-1)^a
     M_a M'_c (a+c)! g_(a+c)(D) over the box moments M_a = sum u^a / a!.
     Error bound: by Cramér's inequality |H_p(x)| exp(-x^2/2) <= 1.09 2^(p/2)
-    sqrt(p!), the remainder g_p(xi) e^p is at most 1.09 (sqrt(2) w)^p / sqrt(p!),
+    sqrt(p!), the remainder g_p(xi) d^p is at most 1.09 (sqrt(2) w)^p / sqrt(p!),
     and p is the least count keeping that within EXPANSION_TOL (36 at w = 1).
     Box pairs more than R apart hold points more than R w apart and are
     dropped, R the least with exp(-(R w)^2) <= EXPANSION_TOL.  So every pair's
-    term is within EXPANSION_TOL = 1e-15.  Each sigma's products run over its
-    own boxes in fixed blocks, whatever shares its chunk.
+    term is within EXPANSION_TOL = 1e-15.
+
+    The sigmas share box grids: in units of s the moments are M~_a = M_a / w^a, and (-1)^a (a+c)!
+    g_(a+c)(D) = (-1)^c H_(a+c)(D) exp(-D^2), so T = sum over e <= R of (1 if e = 0 else 2) sum over
+    q < p of w^q H_q(e w) exp(-(e w)^2) A_e[q], with the sigma-free sums A_e[q] of `_offset_sums`
+    formed once per box width.  Each sigma's sum is its own, whatever shares its call.
     """
-    c, n = sigmas.size, y.size
-    s = _box_width(BOX * sigmas)[:, None]
-    w = s[:, 0] / sigmas
+    s = _box_width(BOX * sigmas)
+    w = s / sigmas
     terms, reach = np.searchsorted(_WIDEST, w), np.ceil(sqrt(-log(EXPANSION_TOL)) / w).astype(np.intp)
-    starts, box, moments = _box_moments(y, s, sigmas[:, None], TERMS)
-    owner = starts // n
-    # herm[m, k, d] = (-1)^m m! g_m(d w_k) = H_m(D) exp(-D^2), zero for m >= TERMS
-    D = np.arange(reach.max() + 1) * w[:, None]
-    herm = np.concatenate([_hermite(D, TERMS), np.zeros((TERMS - 1,) + D.shape)])
-    herm[np.arange(2 * TERMS - 1)[:, None] >= terms] = 0.0  # so the products keep a + c < p
-    # box pairs lo < hi of one sigma, at most its reach apart, ordered by hi
-    near = [np.flatnonzero((owner[e:] == owner[:-e]) & (box[e:] - box[:-e] <= reach[owner[e:]]))
-            for e in range(1, reach.max() + 1)]
-    hi = np.concatenate([lo + e for e, lo in enumerate(near, 1)])
-    order = np.argsort(hi, kind="stable")
-    lo, hi = np.concatenate(near)[order], hi[order]
-    offset, bounds = (box[hi] - box[lo]).astype(np.intp), np.searchsorted(owner, np.arange(c + 1))
-    spans = np.minimum(reach, box[bounds[1:] - 1] - box[bounds[:-1]]).astype(np.intp) + 1
-    signed = moments * (-1.0) ** np.arange(TERMS)  # (-1)^a (a+c)! g_(a+c) = (-1)^c herm[a+c]
-    out = np.zeros(c)
-    for k in range(c):
-        p, b0, b1, span = terms[k], bounds[k], bounds[k + 1], spans[k]
-        # hankel[c, d p + a] = herm[a+c, k, d]: a view striding m for both c and a, copied by the reshape
-        hankel = as_strided(herm[:, k], (p, span, p), np.take(herm.strides, [0, 2, 0])).reshape(p, -1)
-        rows = max(1, CHUNK // (GEMM_ROWS * hankel.shape[1])) * GEMM_ROWS
-        for j0 in range(b0, b1, rows):
-            j1 = min(j0 + rows, b1)
-            blocks = np.concatenate([signed[j0:j1, :p], np.zeros(((j0 - j1) % GEMM_ROWS, p))])
-            # local[j, d, a] = sum_c (-1)^a M_c (a+c)! g_(a+c)(d w) over box j's moments
-            local = np.matmul(blocks.reshape(-1, GEMM_ROWS, p), hankel).reshape(-1, span, p)
-            pair = slice(*np.searchsorted(hi, (j0, j1)))
-            out[k] += np.sum(moments[j0:j1, :p] * local[: j1 - j0, 0])
-            out[k] += 2.0 * np.sum(moments[lo[pair], :p] * local[hi[pair] - j0, offset[pair]])
-    return out
+    widths, which = np.unique(s, return_inverse=True)
+    sums = np.array([_offset_sums(y, width, reach[which == k].max()) for k, width in enumerate(widths)])[which]
+    # coef[k, e, q] = (1 if e = 0 else 2) w_k^q H_q(e w_k) exp(-(e w_k)^2), 0 for q >= p or e > R
+    e, q = np.arange(OFFSETS), np.arange(TERMS)
+    coef = np.ascontiguousarray(np.moveaxis(_hermite(w[:, None] * e, TERMS), 0, -1))
+    coef *= w[:, None, None] ** q
+    coef[:, 1:] *= 2.0
+    coef[(e[:, None] > reach[:, None, None]) | (q >= terms[:, None, None])] = 0.0
+    return np.sum(coef * sums, axis=(1, 2))
 
 
 def _lscv(sample: Sample, kernel: KernelSpec, hs: np.ndarray) -> np.ndarray:
@@ -247,17 +267,13 @@ def _lscv(sample: Sample, kernel: KernelSpec, hs: np.ndarray) -> np.ndarray:
         spread = 2.0 * (y[-1] - y[0]) / hs.min()  # Gaussian boxes can be h/sqrt(2) wide
     if not np.isfinite(spread):
         raise DataError("the sample range in bandwidths overflows; the pair sums need it finite")
-    chunked = lambda f, xs, cost, cap: np.concatenate([f(xs[i:j]) for i, j in _chunks(cost, cap)], axis=-1)  # noqa: E731
     k0, kk0 = (float(f(np.zeros(1))[0]) for f in (kernel.pdf, kernel.convolution))
     if kernel.polynomial is not None:
-        s_k, s_kk = chunked(lambda c: _window_pair_sums(y, kernel, c), hs, np.full(hs.size, n), WINDOW_CHUNK)
+        s_k, s_kk = _window_pair_sums(y, kernel, hs)
         int_f2 = (n * kk0 + 2.0 * s_kk) / (n * n * hs)
         loo = 2.0 * s_k / ((n - 1) * hs)
     elif kernel.name == "gaussian":  # K(z) = K(0) exp(-(z/sqrt 2)^2), (K*K)(t) = (K*K)(0) exp(-(t/2)^2)
-        sigmas = np.r_[sqrt(2.0) * hs, 2.0 * hs]
-        s = _box_width(BOX * sigmas)
-        boxes = np.minimum(n, np.floor(y[-1] / s) - np.floor(y[0] / s) + 1)  # at most, per sigma
-        t_k, t_kk = chunked(lambda c: _gauss_pair_totals(y, c), sigmas, n + TERMS * boxes, CHUNK).reshape(2, -1)
+        t_k, t_kk = _gauss_pair_totals(y, np.r_[sqrt(2.0) * hs, 2.0 * hs]).reshape(2, -1)
         int_f2 = kk0 * t_kk / (n * n * hs)
         loo = k0 * (t_k - n) / ((n - 1) * hs)
     else:

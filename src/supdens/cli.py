@@ -151,10 +151,14 @@ def _grid_csv(header: str, axes: Sequence[np.ndarray], *values: np.ndarray) -> s
     Each of `values` holds one number per grid point, in that order.  Every
     number is written as format(v, ".17g") writes it.
     """
+    *lead, last = axes
+    if not lead:  # each label is written once: a value field like the values, all in one pass
+        cells, row = np.column_stack([last, *values]), ",".join(["%.17g"] * (1 + len(values))) + "\n"
+        blocks = (cells[j : j + _CSV_ROWS] for j in range(0, len(cells), _CSV_ROWS))
+        return header + "\n" + "".join(row * len(block) % tuple(block.ravel().tolist()) for block in blocks)
     # A block of rows is one %-format.  Its template is, per point of the
     # leading axes, that point's label prefix before each line of the tail:
     # the block's last-axis labels, formatted once, with their value fields.
-    *lead, last = axes
     lead = [("%.17g\n" * len(axis) % tuple(axis.tolist())).split() for axis in lead]
     shape = (prod(map(len, lead)), len(last))
     cells = np.stack([np.reshape(v, shape) for v in values], axis=-1)

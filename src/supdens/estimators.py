@@ -501,7 +501,8 @@ def _scaled_terms(
     """W(z), or its x-derivative K(z)(1 - slope*z)/scale, at z = (x - X_i)/scale.
 
     scale is s(x) and slope is ds/dx: s = h with slope 0 is the naive term.
-    slope may also be an array of one value per element; a 0 there leaves K(z)/scale.
+    slope may also be an array of one value per element or per row; the
+    factor is formed only where it is nonzero, and elsewhere leaves K(z)/scale.
     """
     # A subnormal scale can overflow z, or z*z inside K, for far observations.
     # That z lies beyond the saturation radius, where W is exactly 0 or 1, K is
@@ -511,10 +512,13 @@ def _scaled_terms(
         if not pdf:
             return kernel.cdf(z)
         k = kernel.pdf(z)
-    if isinstance(slope, np.ndarray) or slope:
-        # K(z) = 0 beyond the saturation radius, where z may be infinite near
-        # an endpoint; clipping z there keeps 0 * inf from making NaN
-        r = kernel.saturation
+    # K(z) = 0 beyond the saturation radius, where z may be infinite near an
+    # endpoint; clipping z there keeps 0 * inf from making NaN
+    r = kernel.saturation
+    if isinstance(slope, np.ndarray):
+        on = np.flatnonzero(slope.reshape(len(slope), -1).any(axis=1))
+        k[on] *= 1.0 - slope[on] * np.clip(z[on], -r, r)
+    elif slope:
         k = k * (1.0 - slope * np.clip(z, -r, r))
     return k / scale
 
@@ -559,8 +563,15 @@ _WIDEST = np.array([0.0] + [sqrt(0.5) * exp((log(EXPANSION_TOL / 1.09) + lgamma(
 EVAL_TOL = 1e-14
 
 #: Float64 entries per working array of the chunked computations: the transform's
-#: terms x box pairs here, and the Gaussian LSCV's candidates and box products in `bandwidth`.
+#: terms x box pairs here, and the Gaussian LSCV's gathered box moments in `bandwidth`.
 CHUNK = 1 << 16
+
+#: Multiply-adds of one BLAS product, here and in `joint`'s tensor grids.
+#: OpenBLAS runs (8 x 128) (128 x 201) and (16 x 80) (80 x 201) on the calling
+#: thread but (8 x 400) (400 x 201) on two, and on a 2-CPU VM its second thread
+#: made such products 10-100x slower at times (a (64 x 2000) (2000 x 201)
+#: product took 1 to 21 ms).
+GEMM_MNK = 1 << 18
 
 #: Box indices below 2^61 in magnitude are exact integers, and so is every sum or
 #: difference of them the transform forms.
@@ -568,22 +579,22 @@ _KEY_LIMIT = 2.0 ** 61
 
 
 def _box_moments(y: np.ndarray, s, sigma, terms: int) -> tuple:
-    """Boxes [k s, (k + 1) s) of the sorted y and their moments sum u^a / a!, a < terms.
+    """Boxes [k s, (k + 1) s) of the sorted, nonempty y and their moments sum u^a / a!, a < terms.
 
     s is a power of 2, so y - k s is exact and u = (y - (k + 1/2) s)/sigma is
-    rounded once; s and sigma may be (c, 1) columns, one box grid per row of
-    the (c, n) broadcast.  Returns the flat index of each nonempty box's first
-    element, its k, and its moments.
+    rounded once.  Returns each nonempty box's k and its moments.
     """
     box = np.floor(y / s)
-    u = (y - box * s - 0.5 * s) / sigma
-    starts = np.flatnonzero(np.diff(box, axis=-1, prepend=np.nan) != 0)
+    u = y - box * s
+    u -= 0.5 * s
+    u /= sigma
+    starts = np.r_[0, np.flatnonzero(box[1:] != box[:-1]) + 1]
     moments = np.empty((starts.size, terms))
-    power, u = np.ones(u.size), u.ravel()
+    power = np.ones(u.size)
     for a in range(terms):
         moments[:, a] = np.add.reduceat(power, starts) / factorial(a)
         power *= u
-    return starts, box.ravel()[starts], moments
+    return box[starts], moments
 
 
 def _hermite(D: np.ndarray, count: int) -> np.ndarray:
@@ -704,7 +715,7 @@ def _gauss_sums(data: np.ndarray, h: float, t: np.ndarray) -> tuple:
             continue
         src = _ranges(lo[T], pairs[T])
         need = np.unique(src)
-        _, _, moments = _box_moments(data[_ranges(first[need], first[need + 1] - first[need])], s, sigma, p + 1)
+        _, moments = _box_moments(data[_ranges(first[need], first[need + 1] - first[need])], s, sigma, p + 1)
         signed = (moments * (-1.0) ** np.arange(p + 1)).T[:, need.searchsorted(src)]
         deriv_d = deriv[:, np.repeat(boxes[T], pairs[T]) - keys[src] + reach]
         # terms[c, k] = sum over a <= p - c of (-1)^a M_a E^(a+c)(D) for pair k

@@ -79,6 +79,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .estimators import (
     BOUNDARY_KERNEL,
+    GEMM_MNK,
     MEAN_CHUNK,
     REFLECTION,
     FittedEstimator,
@@ -104,12 +105,9 @@ __all__ = ["MultiSample", "JointEstimator", "fit_joint", "joint_cdf", "joint_pdf
 #: 52 ms with chunks of 2^16 to 2^20.
 CHUNK = 1 << 18
 
-#: Khatri-Rao rows of the tensor grid per BLAS product, and the multiply-adds of
-#: one product.  OpenBLAS runs (8 x 128) (128 x 201) and (16 x 80) (80 x 201)
-#: on the calling thread but (8 x 400) (400 x 201) on two, and on a 2-CPU VM
-#: its second thread made such products 10-100x slower at times (a
-#: (64 x 2000) (2000 x 201) product took 1 to 21 ms; see `bandwidth.GEMM_ROWS`).
-GRID_ROWS, GEMM_MNK = 16, 1 << 18
+#: Khatri-Rao rows of the tensor grid per BLAS product (of at most
+#: `estimators.GEMM_MNK` multiply-adds).
+GRID_ROWS = 16
 
 
 @dataclass(frozen=True)

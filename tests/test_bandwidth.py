@@ -275,6 +275,21 @@ def test_gaussian_lscv_memory_is_linear():
     assert peak < 50e6
 
 
+def box_edge_bandwidths(scale):
+    """h where BOX sqrt(2) h or BOX 2 h (sigma's box) is exactly a power of 2 near scale, and its neighbours."""
+    p, out = 2.0 ** np.floor(np.log2(scale)), []
+    for factor in (np.sqrt(2.0), 2.0):
+        h = p / (bandwidth.BOX * factor)
+        near = [h]
+        for _ in range(3):
+            near += [np.nextafter(near[0], 0.0), np.nextafter(near[-1], np.inf)]
+            near.sort()
+        edge = [g for g in near if bandwidth.BOX * (factor * g) == p]
+        assert edge
+        out += [np.nextafter(edge[0], 0.0), edge[0], np.nextafter(edge[0], np.inf)]
+    return out
+
+
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "all_pairs"])
 @pytest.mark.parametrize("shift", [0.0, -3.7, 1e9])
 @pytest.mark.parametrize("n, lattice", [(2, 0), (45, 0), (257, 40), (1100, 0), (1100, 60)])
@@ -286,13 +301,15 @@ def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
     # the window moments' S_K and S_KK over i < j, whose every term is O(1), so
     # within a few ulps a pair (1e-14 is 45).  The lattice makes ties, and the
     # candidates run from 1e-4 of the range (pairs far apart in boxes or
-    # windows) to the range (one box, every pair in reach).
+    # windows) to the range (one box, every pair in reach), and take in the
+    # Gaussian's box-width edges, where w jumps from 1 to just above 1/2.
     x = np.random.default_rng(n + lattice).beta(3.0, 1.0, n)
     if lattice:
         x = np.round(x * lattice) / lattice
     y = np.sort(x + shift)
     y -= y[n // 2]
-    hs = np.geomspace(1e-4, 1.0, 25) * (y[-1] - y[0])
+    span = y[-1] - y[0]
+    hs = np.r_[np.geomspace(1e-4, 1.0, 25) * span, box_edge_bandwidths(1e-3 * span), box_edge_bandwidths(0.1 * span)]
     s_k, s_kk = full_width_pair_sums(y, kernel, hs)
     if kernel.polynomial is not None:
         got = bandwidth._window_pair_sums(y, kernel, hs)
@@ -303,16 +320,30 @@ def test_all_pair_sums_match_full_width_oracle(kernel, shift, n, lattice):
     assert np.all(np.abs(got - want) <= bandwidth.EXPANSION_TOL * n * n + 1e-14 * want)
 
 
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN], ids=["window", "gaussian"])
 @pytest.mark.parametrize("shift", [0.0, 1e9])
 @pytest.mark.parametrize("n", [3, 100, 2000])
-def test_epanechnikov_lscv_is_the_same_bits_in_any_chunk(n, shift, monkeypatch):
-    # each candidate's window sums are its own arithmetic, so the chunk size
-    # moves no bit: one candidate a chunk, WINDOW_CHUNK entries, or one chunk
+def test_lscv_is_the_same_bits_in_any_chunk(kernel, n, shift, monkeypatch):
+    # each candidate's sums are its own arithmetic, so no chunk size moves a
+    # bit: the window path's candidates one a chunk, WINDOW_CHUNK entries, or
+    # one chunk; the Gaussian's box pairs one product a gather, CHUNK / TERMS
+    # pairs, or one gather, checked on its box-pair sums too, whose last bits
+    # the totals can round away.  Nor does which candidates share a call: all
+    # of them, each alone, or the odd and the even ones apart.
     sample = Sample(np.random.default_rng(n).beta(3.0, 1.0, n) + shift)
     hs = BandwidthGrid.default(sample).candidates
-    got = []
-    for cap in (1, bandwidth.WINDOW_CHUNK, n * hs.size):
-        monkeypatch.setattr(bandwidth, "WINDOW_CHUNK", cap)
-        got.append(bandwidth._lscv(sample, EPANECHNIKOV, hs))
+    cap, sizes = ("WINDOW_CHUNK", (1, bandwidth.WINDOW_CHUNK, n * hs.size)) if kernel.polynomial else (
+        "CHUNK", (1, bandwidth.CHUNK, 1 << 40))
+    y, s = sample.values - sample.values[n // 2], bandwidth._box_width(bandwidth.BOX * np.sqrt(2.0) * hs[0])
+    got, sums = [], []
+    for size in sizes:
+        monkeypatch.setattr(bandwidth, cap, size)
+        got.append(bandwidth._lscv(sample, kernel, hs))
+        sums.append(bandwidth._offset_sums(y, s, bandwidth.OFFSETS - 1))
+    assert all(np.array_equal(v, sums[0]) for v in sums[1:])
+    got.append(np.concatenate([bandwidth._lscv(sample, kernel, hs[k : k + 1]) for k in range(hs.size)]))
+    parted = np.empty(hs.size)
+    parted[0::2], parted[1::2] = bandwidth._lscv(sample, kernel, hs[0::2]), bandwidth._lscv(sample, kernel, hs[1::2])
+    got.append(parted)
     assert all(np.array_equal(v, got[0]) for v in got[1:])
     assert np.all(np.isfinite(got[0]))
