@@ -516,7 +516,7 @@ def _scaled_terms(
     # endpoint; clipping z there keeps 0 * inf from making NaN
     r = kernel.saturation
     if isinstance(slope, np.ndarray):
-        on = np.flatnonzero(slope.reshape(len(slope), -1).any(axis=1))
+        on = np.flatnonzero(slope.any(axis=tuple(range(1, slope.ndim))))
         k[on] *= 1.0 - slope[on] * np.clip(z[on], -r, r)
     elif slope:
         k = k * (1.0 - slope * np.clip(z, -r, r))
